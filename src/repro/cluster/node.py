@@ -7,39 +7,41 @@ LabelledWorkerPool`), so a node with ``capacity`` devices evaluates up
 to ``capacity`` shards concurrently while each BEAGLE instance still
 sees exactly one in-flight call.
 
-The node carries the cluster's calibration state for its machine:
-
-* a **prior** throughput from the perf model
-  (:func:`repro.partition.autoselect.predict_throughput`) where the
-  device spec names a modelled backend, a neutral weight otherwise;
-* an **EWMA** of measured shard rates (patterns per simulated second,
-  :class:`~repro.sched.executor.ComponentTiming`), folded in by the
-  scheduler after every completed shard — the model seeds the weights,
-  measurements own them.
+The node keeps its machine's calibration: a perf-model **prior**
+throughput (:func:`repro.partition.autoselect.predict_throughput`) where
+the device spec names a modelled backend, a neutral weight otherwise,
+refined by an EWMA (:func:`repro.resil.group.ewma`) of measured shard
+rates that the scheduler folds in after every completed shard.
 
 Fault injection plugs in at the node level: the scheduler hands each
 node the memoized :class:`~repro.resil.faults.FaultInjector` for its
-name, and the node consults it once per shard evaluation (wrapper-level
-counting, as for :class:`~repro.resil.faults.FaultyComponent`).
-Latency spikes advance the evaluating instance's device clock, so a
-slow node shows up in the measured rate; device-loss raises from inside
-the shard and surfaces to the scheduler as a node failure.  Transient
-kernel faults are retried in place under the node's
-:class:`~repro.resil.RetryPolicy`, with the deterministic backoff
-charged to the device clock.
+name, and the node consults it once per shard attempt.  Latency spikes
+advance the shard instance's device clock, so a slow node shows up in
+its measured rate; device loss surfaces to the scheduler as a node
+failure.  Timing and transient retries run through the one failover
+core (:func:`repro.resil.group.measure`,
+:func:`repro.resil.group.call_with_retries`); the node itself adds only
+device round-robin and its injector.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.analysis import locksan
 from repro.config import backend_flags
 from repro.core.highlevel import TreeLikelihood
-from repro.sched.executor import ComponentTiming
+from repro.resil.group import (
+    ComponentTiming,
+    call_with_retries,
+    device_clock,
+    ewma,
+    measure,
+)
 from repro.sched.workers import LabelledWorkerPool
 
 __all__ = ["WorkerNode", "prior_rate_for"]
@@ -199,11 +201,7 @@ class WorkerNode:
         """
         locksan.access(self._coord_state)
         self._completed += 1
-        rate = timing.rate
-        self._rate = (
-            rate if self._rate is None
-            else self.alpha * rate + (1 - self.alpha) * self._rate
-        )
+        self._rate = ewma(self._rate, timing.rate, self.alpha)
 
     # -- fault injection ---------------------------------------------------
 
@@ -211,26 +209,23 @@ class WorkerNode:
         """Attach the node's (memoized) fault injector."""
         self._injector = injector
 
-    def _consult_injector(self, clock: Any) -> None:
+    def _consult_injector(self, component: Optional[TreeLikelihood]) -> None:
         injector = self._injector
         if injector is None:
             return
+        clock = None if component is None else device_clock(component)
         with self._injector_lock:
             locksan.access(self._injector_state)
             injector.on_event(clock)
 
-    def probe(self) -> bool:
+    def probe(self) -> None:
         """One recovery probe against the fault schedule.
 
         Consumes one interception event (probes count, exactly as the
-        executor's quarantine probes do), returning whether the node
-        answered cleanly.
+        executor's quarantine probes do) and raises the injected fault
+        while the node is still down.
         """
-        try:
-            self._consult_injector(None)
-        except Exception:
-            return False
-        return True
+        self._consult_injector(None)
 
     # -- shard evaluation --------------------------------------------------
 
@@ -251,30 +246,6 @@ class WorkerNode:
             device, self._evaluate_shard, shard, device, parent_span
         )
 
-    def _note_retry(self, device: str, attempt: int, exc: BaseException,
-                    clock: Any) -> None:
-        policy = self._retry_policy
-        delay = policy.delay_s(attempt, salt=f"{self.name}:{device}")
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            tracer.event(
-                "cluster.retry",
-                kind="cluster",
-                node=self.name,
-                device=device,
-                attempt=attempt,
-                error=f"{type(exc).__name__}: {exc}",
-                delay_s=delay,
-            )
-        if self._metrics is not None:
-            self._metrics.counter("cluster.retries").inc()
-        # Charge the backoff to the device clock where one exists, as
-        # the executor does — retries cost device time, not test time.
-        if clock is not None:
-            clock.advance(delay, "cluster.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
-
     def _evaluate_shard(
         self, shard: Any, device: str, parent_span: Optional[int]
     ) -> Tuple[float, ComponentTiming]:
@@ -282,8 +253,35 @@ class WorkerNode:
 
         The shard is never split further: its value is a function of
         (shard data, tree, model) alone, so it is bit-identical wherever
-        it runs — the invariant the scheduler's re-pack relies on.
+        it runs — the invariant the scheduler's re-pack relies on.  The
+        ``cluster.shard`` span covers the instance build and the
+        evaluation; the timing covers the evaluation.
         """
+        tracer = self._tracer
+        span = None
+        if tracer is not None and tracer.enabled:
+            span = tracer.span(
+                "cluster.shard",
+                kind="cluster",
+                parent_id=parent_span,
+                node=self.name,
+                device=device,
+                shard=shard.key,
+                patterns=shard.patterns,
+            )
+        label = f"{self.name}:{device}"
+        return measure(
+            self._shard_component(shard, device),
+            partial(self._run_shard, label),
+            label,
+            shard.patterns,
+            span,
+        )
+
+    @contextmanager
+    def _shard_component(self, shard: Any,
+                         device: str) -> Iterator[TreeLikelihood]:
+        """A throw-away instance for one shard on one device."""
         kwargs = dict(self.device_kwargs[device])
         kwargs.update(shard.likelihood_kwargs)
         component = TreeLikelihood(
@@ -292,57 +290,22 @@ class WorkerNode:
         try:
             if self._tracer is not None:
                 component.instrument(self._tracer, self._metrics)
-            impl = component.instance.impl
-            interface = getattr(impl, "interface", None)
-            clock = getattr(interface, "clock", None)
-            sim0 = getattr(impl, "simulated_time", None)
-            t0 = time.perf_counter()
-            value = self._run_with_retries(component, device, clock)
-            wall = time.perf_counter() - t0
-            sim = None if sim0 is None else impl.simulated_time - sim0
-            timing = ComponentTiming(
-                label=f"{self.name}:{device}",
-                patterns=shard.patterns,
-                wall_s=wall,
-                simulated_s=sim,
-            )
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                with tracer.span(
-                    "cluster.shard",
-                    kind="cluster",
-                    parent_id=parent_span,
-                    node=self.name,
-                    device=device,
-                    shard=shard.key,
-                    patterns=shard.patterns,
-                ) as span:
-                    span.attrs["value"] = value
-                    span.attrs["measured_s"] = timing.measured_s
-            return value, timing
+            yield component
         finally:
             component.finalize()
 
-    def _run_with_retries(self, component: TreeLikelihood, device: str,
-                          clock: Any) -> float:
-        policy = self._retry_policy
-        attempts = 1 if policy is None else policy.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                self._consult_injector(clock)
-                return float(component.log_likelihood())
-            except Exception as exc:
-                if attempt >= attempts or not (
-                    policy is not None and policy.is_transient(exc)
-                ):
-                    raise
-                self._note_retry(device, attempt, exc, clock)
-        raise AssertionError("unreachable: bounded retry loop fell through")
+    def _run_shard(self, label: str, component: TreeLikelihood) -> float:
+        return call_with_retries(
+            self._attempt_shard, component,
+            policy=self._retry_policy, salt=label, device=component,
+            tracer=self._tracer, metrics=self._metrics, prefix="cluster",
+        )
+
+    def _attempt_shard(self, component: TreeLikelihood) -> float:
+        self._consult_injector(component)
+        return float(component.log_likelihood())
 
     # -- lifecycle ---------------------------------------------------------
-
-    def device_labels(self) -> List[str]:
-        return list(self.device_specs)
 
     def retire(self, wait: bool = True) -> None:
         """Release every device worker (node loss).

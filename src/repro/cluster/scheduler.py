@@ -28,17 +28,19 @@ re-pack onto the survivors in the same round.  Because shard boundaries
 and the summation order are fixed at submission — placement only moves
 *whole* shards — the recovered job total is bit-identical to the
 single-node serial baseline (:func:`serial_shard_sum`); see DESIGN
-choice 17.  Quarantined nodes are probed every ``probe_interval``
-rounds and readmitted in their original placement order.
+choice 17.  Quarantine, probing every ``probe_interval`` rounds and
+readmission in the original placement order are the failover core's
+(:class:`repro.resil.group.MemberGroup`); the scheduler adds only the
+whole-shard re-pack.
 
 Locking
 -------
 Two ``locksan``-instrumented locks: the queue condition (submitters vs.
 the dispatch thread) and the state lock (dispatch-thread mutations vs.
-reporting readers).  The state lock also covers node calibration state
-(rates, dispatch counters), which only the scheduler drives; it is
-*not* held while shard futures are in flight, so evaluation overlaps
-reporting freely.
+reporting readers).  The state lock also covers the member group and
+node calibration state (rates, dispatch counters), which only the
+scheduler drives; it is *not* held while shard futures are in flight,
+so evaluation overlaps reporting freely.
 
 Everything is observable (``cluster.*`` spans and metrics: queue depth,
 placement decisions, migrations, node utilization — see the README
@@ -66,14 +68,18 @@ from repro.analysis import locksan
 from repro.cluster.node import WorkerNode
 from repro.core.highlevel import TreeLikelihood
 from repro.partition.multi import split_pattern_set
-from repro.sched.executor import ComponentTiming
-from repro.util.errors import DeviceError
+from repro.resil.group import (
+    MemberGroup,
+    Quarantine,
+    allowed_failovers,
+    can_fail_over,
+    collect,
+)
 
 __all__ = [
     "ClusterJob",
     "ClusterScheduler",
     "NodeLossEvent",
-    "NodeQuarantine",
     "PlacementDecision",
     "Shard",
     "makespan_lower_bound",
@@ -140,17 +146,6 @@ class NodeLossEvent:
     error: str
     migrated: List[str]
     survivors: List[str]
-
-
-@dataclass
-class NodeQuarantine:
-    """A node removed from placement after persistent failure."""
-
-    node: str
-    error: str
-    at_round: int
-    last_probe: int
-    probes: int = 0
 
 
 class ClusterJob:
@@ -300,13 +295,6 @@ def serial_shard_sum(
     return float(sum(values))
 
 
-#: One dispatched shard's outcome, collected on the dispatch thread.
-_Outcome = Tuple[
-    str, Shard, Optional[float], Optional[ComponentTiming],
-    Optional[BaseException],
-]
-
-
 class ClusterScheduler:
     """Pending-job queue plus bin-packing placement over worker nodes.
 
@@ -320,7 +308,7 @@ class ClusterScheduler:
         A :class:`~repro.resil.RetryPolicy`.  Transient shard errors
         retry on the same node (inside the node); persistent
         ``DeviceError``\\ s quarantine the node and re-pack its shards
-        onto survivors, bounded by ``failover_budget``.
+        onto survivors, bounded by the policy's failover budget.
         ``probe_interval`` is counted in dispatch rounds.
     fault_plan:
         A :class:`~repro.resil.FaultPlan` whose labels are **node
@@ -344,7 +332,6 @@ class ClusterScheduler:
             self._nodes[node.name] = node
         if not self._nodes:
             raise ValueError("cluster needs at least one node")
-        self._order = list(self._nodes)
         self._retry_policy = retry_policy
         self._fault_plan = fault_plan
         self._tracer = tracer
@@ -369,8 +356,10 @@ class ClusterScheduler:
         self._state_lock = locksan.instrument(
             threading.Lock(), locksan.scoped_name("cluster.state-lock")
         )
-        self._active = list(self._order)
-        self._quarantined: Dict[str, NodeQuarantine] = {}
+        self._group = MemberGroup(
+            list(self._nodes), retry_policy, tracer, metrics,
+            prefix="cluster",
+        )
         self._placements: List[PlacementDecision] = []
         self._node_loss_events: List[NodeLossEvent] = []
         self._migrations = 0
@@ -463,7 +452,7 @@ class ClusterScheduler:
         locksan.access(self._state, write=False)
         return {
             name: max(self._nodes[name].effective_rate, 1e-9)
-            for name in self._active
+            for name in self._group.active
         }
 
     def _run_round(self, shards: List[Shard]) -> None:
@@ -472,21 +461,20 @@ class ClusterScheduler:
             locksan.access(self._state)
             self._rounds += 1
             round_index = self._rounds
-        self._maybe_probe(round_index)
-        with self._state_lock:
-            locksan.access(self._state, write=False)
-            active_count = len(self._active)
-        policy = self._retry_policy
-        budget = 0
-        if policy is not None and policy.failover:
-            budget = policy.failover_budget(active_count)
+            if self._group.probe(
+                round_index, lambda name: self._nodes[name].probe()
+            ):
+                self._note_active_locked()
+            budget = allowed_failovers(
+                self._retry_policy, len(self._group.active)
+            )
         remaining = [s for s in shards if not s.job.done]
         tracer = self._tracer
         for attempt in range(budget + 1):
             if not remaining:
                 return
             with self._state_lock:
-                active = list(self._active)
+                active = list(self._group.active)
             if not active:
                 self._fail_shards(
                     remaining,
@@ -515,18 +503,14 @@ class ClusterScheduler:
             # Persistent node failures: quarantine each failed node and
             # re-pack its shards onto the survivors next iteration.
             failed_names = {name for name, _, _ in failed}
-            survivors = [n for n in active if n not in failed_names]
+            survivors = len([n for n in active if n not in failed_names])
             remaining = []
             fatal: Optional[BaseException] = None
             for name, node_shards, exc in failed:
-                if (
-                    not isinstance(exc, DeviceError)
-                    or attempt >= budget
-                    or not survivors
-                ):
-                    fatal = exc
-                else:
+                if can_fail_over(exc, attempt, budget, survivors):
                     self._quarantine(name, node_shards, exc, round_index)
+                else:
+                    fatal = exc
                 remaining.extend(node_shards)
             if fatal is not None:
                 self._fail_shards(remaining, fatal)
@@ -575,25 +559,19 @@ class ClusterScheduler:
             )
         # Futures are collected with no lock held: evaluation overlaps
         # submission of later jobs and reporting reads.
-        outcomes: List[_Outcome] = []
-        for name, shard, future in submitted:
-            try:
-                value, timing = future.result()
-                outcomes.append((name, shard, value, timing, None))
-            except Exception as exc:
-                outcomes.append((name, shard, None, None, exc))
+        outcomes = collect(future for _, _, future in submitted)
         busy: Dict[str, float] = {name: 0.0 for name in assignment}
         failures: Dict[str, List[Shard]] = {}
         errors: Dict[str, BaseException] = {}
         with self._state_lock:
             locksan.access(self._state)
-            for name, shard, value, timing, exc in outcomes:
+            for (name, shard, _), (result, exc) in zip(submitted, outcomes):
                 if exc is not None:
                     self._record_shard_failure(name, shard, exc)
                     failures.setdefault(name, []).append(shard)
                     errors.setdefault(name, exc)
                     continue
-                assert value is not None and timing is not None
+                value, timing = result
                 shard.job.record(shard.index, value)
                 self._nodes[name].observe(timing)
                 busy[name] += timing.measured_s
@@ -648,26 +626,19 @@ class ClusterScheduler:
                     exc: BaseException, round_index: int) -> None:
         with self._state_lock:
             locksan.access(self._state)
-            if name not in self._active:
+            record = self._group.quarantine(name, exc, round_index)
+            if record is None:
                 return
-            self._active.remove(name)
-            self._quarantined[name] = NodeQuarantine(
-                node=name,
-                error=f"{type(exc).__name__}: {exc}",
-                at_round=round_index,
-                last_probe=round_index,
-            )
             event = NodeLossEvent(
                 round=round_index,
                 node=name,
-                error=f"{type(exc).__name__}: {exc}",
+                error=record.error,
                 migrated=[shard.key for shard in shards],
-                survivors=list(self._active),
+                survivors=list(self._group.active),
             )
             self._node_loss_events.append(event)
             self._migrations += len(shards)
-            active_now = len(self._active)
-            quarantined_now = len(self._quarantined)
+            self._note_active_locked()
         # Worker release happens outside the state lock: retire joins
         # in-flight worker threads and must not block readers.
         self._nodes[name].retire(wait=True)
@@ -685,61 +656,12 @@ class ClusterScheduler:
         if metrics is not None:
             metrics.counter("cluster.node_loss.events").inc()
             metrics.counter("cluster.migrations").inc(len(shards))
-            metrics.gauge("cluster.nodes.active").set(active_now)
-            metrics.gauge("cluster.nodes.quarantined").set(quarantined_now)
 
-    def _maybe_probe(self, round_index: int) -> None:
-        """Probe quarantined nodes for recovery; readmit on success.
-
-        The probe itself runs off the state lock (it touches node
-        internals, which have their own locks); only the due-list scan
-        and the readmission mutate scheduler state.
-        """
-        policy = self._retry_policy
-        if policy is None or policy.probe_interval <= 0:
-            return
-        metrics = self._metrics
-        tracer = self._tracer
-        with self._state_lock:
-            locksan.access(self._state)
-            due: List[str] = []
-            for name, record in self._quarantined.items():
-                if round_index - record.last_probe < policy.probe_interval:
-                    continue
-                record.last_probe = round_index
-                record.probes += 1
-                due.append(name)
-        for name in due:
-            if metrics is not None:
-                metrics.counter("cluster.probes").inc()
-            healthy = self._nodes[name].probe()
-            if tracer is not None and tracer.enabled:
-                tracer.event(
-                    "cluster.probe", kind="cluster", node=name,
-                    healthy=healthy,
-                )
-            if not healthy:
-                continue
-            with self._state_lock:
-                locksan.access(self._state)
-                if name not in self._quarantined:
-                    continue
-                del self._quarantined[name]
-                # Readmit in original submission order so placement
-                # tie-breaks stay deterministic across a loss/heal
-                # cycle.
-                self._active = [
-                    node_name for node_name in self._order
-                    if node_name in self._active or node_name == name
-                ]
-                active_now = len(self._active)
-                quarantined_now = len(self._quarantined)
-            if metrics is not None:
-                metrics.counter("cluster.readmissions").inc()
-                metrics.gauge("cluster.nodes.active").set(active_now)
-                metrics.gauge("cluster.nodes.quarantined").set(
-                    quarantined_now
-                )
+    def _note_active_locked(self) -> None:
+        if self._metrics is not None:
+            self._metrics.gauge("cluster.nodes.active").set(
+                len(self._group.active)
+            )
 
     # -- reporting ---------------------------------------------------------
 
@@ -751,12 +673,12 @@ class ClusterScheduler:
         """Nodes currently eligible for placement."""
         with self._state_lock:
             locksan.access(self._state, write=False)
-            return list(self._active)
+            return list(self._group.active)
 
-    def quarantined(self) -> Dict[str, NodeQuarantine]:
+    def quarantined(self) -> Dict[str, Quarantine]:
         with self._state_lock:
             locksan.access(self._state, write=False)
-            return dict(self._quarantined)
+            return dict(self._group.quarantined)
 
     def rates(self) -> Dict[str, float]:
         """Calibrated effective rate per active node."""

@@ -10,7 +10,6 @@ in a process-wide handle table.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,27 +118,13 @@ def beagle_create_instance(
     resource_list: Optional[Sequence[int]] = None,
     preference_flags: Flag = Flag(0),
     requirement_flags: Flag = Flag(0),
-    resource_ids: Optional[Sequence[int]] = None,
 ) -> Tuple[int, Optional[InstanceDetails]]:
     """``beagleCreateInstance``: returns ``(handle, details)``.
 
-    A negative handle is an error code, as in the C API.  The canonical
-    spelling for the resource selection here is ``resource_list`` (as in
-    ``beagle.h``); ``resource_ids`` is a deprecated alias kept for
-    symmetry with :func:`repro.core.instance.create_instance`.
+    A negative handle is an error code, as in the C API.  The resource
+    selection is spelled ``resource_list``, as in ``beagle.h``.
     """
     global _next_handle
-    if resource_ids is not None:
-        if resource_list is not None:
-            exc = ValueError("pass resource_list or resource_ids, not both")
-            return _record_failure("beagle_create_instance", exc), None
-        warnings.warn(
-            "beagle_create_instance(resource_ids=...) is deprecated and "
-            "will be removed in 2.0; use resource_list=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        resource_list = resource_ids
     precision = (
         "single"
         if (requirement_flags & Flag.PRECISION_SINGLE)
@@ -509,54 +494,14 @@ def beagle_configure(instance: int, **opts: Any) -> int:
     return _wrap("beagle_configure", lambda: _apply_configure(instance, dict(opts)))
 
 
-def beagle_set_execution_mode(instance: int, deferred: bool) -> int:
-    """Deprecated: use ``beagle_configure(instance, deferred=...)``.
-
-    In deferred mode, matrix updates and partials operations accumulate
-    into an execution plan that runs at the next likelihood call or
-    :func:`beagle_flush`; results are bit-identical to eager mode.
-    """
-    warnings.warn(
-        "beagle_set_execution_mode is deprecated and will be removed in "
-        "2.0; use beagle_configure(instance, deferred=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _wrap(
-        "beagle_set_execution_mode",
-        lambda: _apply_configure(instance, {"deferred": deferred}),
-    )
-
-
 def beagle_flush(instance: int) -> int:
     """Execute any recorded deferred work (no-op in eager mode).
 
     With strict plan verification enabled (see
-    :func:`beagle_set_plan_verification`), a plan with error-severity
+    ``beagle_configure(instance, strict_plans=True)``), a plan with error-severity
     findings fails here with ``BEAGLE_ERROR_GENERAL`` before any node
     executes; the diagnostics land in
     :func:`beagle_get_last_error_message`.
     """
     return _wrap("beagle_flush", lambda: _get(instance).flush())
 
-
-def beagle_set_plan_verification(instance: int, strict: bool) -> int:
-    """Deprecated: use ``beagle_configure(instance, strict_plans=...)``.
-
-    When strict, every flush first runs the
-    :class:`~repro.analysis.planverify.PlanVerifier` over the recorded
-    plan and refuses to execute one with error-severity diagnostics
-    (missing hazard edges, out-of-range indices, cycles, uninitialized
-    reads).  Off by default: verification walks the whole DAG, which is
-    measurable on large trees.
-    """
-    warnings.warn(
-        "beagle_set_plan_verification is deprecated and will be removed "
-        "in 2.0; use beagle_configure(instance, strict_plans=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _wrap(
-        "beagle_set_plan_verification",
-        lambda: _apply_configure(instance, {"strict_plans": strict}),
-    )

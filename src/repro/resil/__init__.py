@@ -2,14 +2,21 @@
 
 The paper's heterogeneous multi-device design assumes every device
 survives the whole analysis; this package is what happens when one
-doesn't.  Three cooperating pieces:
+doesn't.  Four cooperating pieces:
 
 * :mod:`repro.resil.faults` — deterministic, serializable fault plans
   installable on simulated backends (hardware level) or any
   implementation (wrapper level);
 * :mod:`repro.resil.retry` — retry/failover policies with bounded
-  attempts and deterministic backoff, consumed by
-  :class:`repro.sched.ConcurrentExecutor`;
+  attempts and deterministic backoff;
+* :mod:`repro.resil.group` — the one failover core that applies them:
+  the bounded retry loop, the failover decision, quarantine with probe
+  and order-preserving readmission, EWMA calibration, sim-or-wall
+  timing and future collection, shared by
+  :class:`repro.sched.ConcurrentExecutor`,
+  :class:`repro.cluster.ClusterScheduler` and
+  :class:`repro.serve.LikelihoodServer`, which keep only their
+  placement policies;
 * :mod:`repro.resil.checkpoint` — atomic, manifest-hashed MCMC
   snapshots with bit-exact resume.
 
@@ -35,6 +42,7 @@ from repro.resil.faults import (
     install_fault_injector,
     install_fault_plan,
 )
+from repro.resil.group import Quarantine
 from repro.resil.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
@@ -45,6 +53,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultyComponent",
+    "Quarantine",
     "RetryPolicy",
     "install_fault_injector",
     "install_fault_plan",

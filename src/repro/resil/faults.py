@@ -53,6 +53,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.resil._surface import resil_entrypoint
+from repro.resil.group import device_clock
 from repro.util.errors import DeviceLostError, KernelLaunchError
 
 __all__ = [
@@ -240,16 +241,12 @@ class FaultyComponent:
         """The underlying component (for tests and introspection)."""
         return self._component
 
-    def _clock(self):
-        interface = getattr(self._component.instance.impl, "interface", None)
-        return getattr(interface, "clock", None)
-
     def log_likelihood(self) -> float:
-        self._injector.on_call(self._clock())
+        self._injector.on_call(device_clock(self._component))
         return self._component.log_likelihood()
 
     def update_branch_lengths(self, node_indices) -> float:
-        self._injector.on_call(self._clock())
+        self._injector.on_call(device_clock(self._component))
         return self._component.update_branch_lengths(node_indices)
 
     def __getattr__(self, name: str):

@@ -1,7 +1,8 @@
 """Retry policies with deterministic backoff.
 
-A :class:`RetryPolicy` describes how the multi-device executor reacts
-to device failures:
+A :class:`RetryPolicy` describes how the executor, the cluster and the
+server react to device failures, through the one failover core
+(:mod:`repro.resil.group`):
 
 * **transient** errors (``DeviceError.transient`` is true — e.g. a
   spurious kernel-launch failure) are retried on the *same* device up
@@ -19,9 +20,9 @@ derived from ``crc32(f"{seed}:{salt}:{attempt}")``, so a given policy
 replays the exact same delay schedule on every run — failures stay
 reproducible test fixtures, never a source of flakiness.
 
-Delays are expressed in seconds but are consumed by the executor as
-*simulated* time whenever the failing component runs on a simulated
-clock, so retry tests complete in microseconds of wall time.
+Delays are expressed in seconds but are consumed as *simulated* time
+whenever the failing component runs on a simulated clock, so retry
+tests complete in microseconds of wall time.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from repro.sched.executor import (
     ComponentTiming,
     ConcurrentExecutor,
     FailoverEvent,
-    QuarantineRecord,
     RebalanceEvent,
     RebalancingExecutor,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ConcurrentExecutor",
     "FailoverEvent",
     "LabelledWorkerPool",
-    "QuarantineRecord",
     "RebalanceEvent",
     "RebalancingExecutor",
 ]

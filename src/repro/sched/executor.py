@@ -23,23 +23,15 @@ Two cooperating pieces:
   :meth:`repro.partition.multi.MultiDeviceLikelihood.resplit`.
 
 With a :class:`~repro.resil.RetryPolicy` attached, the executor also
-survives device failure (the resilience layer, :mod:`repro.resil`):
-
-* **transient** errors (``DeviceError.transient``) are retried on the
-  same device, bounded by ``max_attempts``, with deterministic
-  exponential backoff charged to the device clock where one exists;
-* **persistent** failures quarantine the device — its worker thread is
-  released, the pattern set is re-split across the survivors through
-  the same machinery rebalancing uses, and the evaluation is re-run, so
-  the recovered log-likelihood remains the component-ordered sum over
-  the surviving split (bit-identical to the serial sum over that
-  split);
-* quarantined devices are probed every ``probe_interval`` evaluations
-  and re-admitted through the resplit path when the probe passes.
-
-Worker exceptions are routed through the ``beagle_*`` error surface:
-after any component failure, ``beagle_get_last_error_message`` names
-the failing component and device rather than a bare future exception.
+survives device failure through the one failover core,
+:mod:`repro.resil.group`: transient errors retry in place, a persistent
+failure quarantines the device and re-splits its patterns over the
+survivors (the same resplit machinery rebalancing uses, so the result
+stays the component-ordered sum over the surviving split), and
+quarantined devices are probed back in.  The executor itself is only
+the placement policy: ``drop_device``/``readmit_device``/``resplit``.
+After any component failure, ``beagle_get_last_error_message`` names
+the failing component and device.
 
 Everything is observable: evaluations emit ``executor.*`` spans and
 metrics, the correction loop emits ``rebalance.*`` spans and counters,
@@ -50,52 +42,33 @@ README's metric-name catalog).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import locksan
 from repro.obs import NULL_TRACER
 from repro.partition.autoselect import proportions_from_rates
+from repro.resil.group import (
+    ComponentTiming,
+    MemberGroup,
+    Quarantine,
+    allowed_failovers,
+    call_with_retries,
+    can_fail_over,
+    collect,
+    ewma,
+    measure,
+)
 from repro.sched.workers import LabelledWorkerPool
-from repro.util.errors import DeviceError
 
 __all__ = [
     "ComponentTiming",
     "ConcurrentExecutor",
     "FailoverEvent",
-    "QuarantineRecord",
     "RebalanceEvent",
     "RebalancingExecutor",
 ]
-
-
-@dataclass
-class ComponentTiming:
-    """One component's cost in the most recent evaluation."""
-
-    label: str
-    patterns: int
-    wall_s: float
-    #: Modelled device seconds, where the backend simulates a device
-    #: clock (accelerated implementations); ``None`` on host backends.
-    simulated_s: Optional[float]
-
-    @property
-    def measured_s(self) -> float:
-        """The time the rebalancer should trust for this component.
-
-        Simulated device seconds when available (that *is* the device
-        model), wall-clock otherwise.
-        """
-        if self.simulated_s is not None and self.simulated_s > 0:
-            return self.simulated_s
-        return self.wall_s
-
-    @property
-    def rate(self) -> float:
-        """Patterns per measured second."""
-        return self.patterns / max(self.measured_s, 1e-12)
 
 
 @dataclass
@@ -121,25 +94,6 @@ class FailoverEvent:
     #: Measured work discarded from the failed round (the survivors'
     #: completed shard evaluations whose results could not be used).
     wasted_s: float
-
-
-@dataclass
-class QuarantineRecord:
-    """A device removed from the active split after persistent failure."""
-
-    label: str
-    error: str
-    at_evaluation: int
-    last_probe: int
-    probes: int = 0
-
-
-#: One round's per-component outcome: (label, component, value, timing,
-#: exception) with exactly one of value/exception present.
-_Outcome = Tuple[
-    str, Any, Optional[float], Optional["ComponentTiming"],
-    Optional[BaseException],
-]
 
 
 def _component_labels(likelihood: Any) -> List[str]:
@@ -204,7 +158,13 @@ class ConcurrentExecutor:
         self._evaluations = 0
         self._closed = False
         self._failover_events: List[FailoverEvent] = []
-        self._quarantined: Dict[str, QuarantineRecord] = {}
+        # Failover (and so quarantine and probing) needs a likelihood
+        # that can drop and readmit devices.
+        self._group = MemberGroup(
+            self.labels,
+            retry_policy if hasattr(likelihood, "drop_device") else None,
+            self._tracer, self._metrics,
+        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -241,91 +201,43 @@ class ConcurrentExecutor:
         locksan.access(self._coord_state, write=False)
         return list(self._failover_events)
 
-    def quarantined(self) -> Dict[str, QuarantineRecord]:
+    def quarantined(self) -> Dict[str, Quarantine]:
         """Currently quarantined devices, by label."""
         locksan.access(self._coord_state, write=False)
-        return dict(self._quarantined)
-
-    def _worker_for(self, label: str) -> ThreadPoolExecutor:
-        return self._pool.worker_for(label)
+        return dict(self._group.quarantined)
 
     def _attempt_component(
         self, component: Any, label: str, parent_id: Optional[str],
         method: str, args: Tuple[Any, ...],
     ) -> Tuple[float, ComponentTiming]:
-        impl = component.instance.impl
-        sim0 = getattr(impl, "simulated_time", None)
         tracer = self._tracer
-        t0 = time.perf_counter()
+        span = None
         if tracer.enabled:
-            with tracer.span(
+            span = tracer.span(
                 "executor.component",
                 kind="component",
                 parent_id=parent_id,
                 label=label,
                 backend=component.instance.details.implementation_name,
                 patterns=component.pattern_count,
-            ) as span:
-                value = getattr(component, method)(*args)
-                span.attrs["value"] = value
-        else:
-            value = getattr(component, method)(*args)
-        wall = time.perf_counter() - t0
-        sim = None if sim0 is None else impl.simulated_time - sim0
-        timing = ComponentTiming(
-            label=label,
-            patterns=component.pattern_count,
-            wall_s=wall,
-            simulated_s=sim,
-        )
-        return value, timing
-
-    def _note_retry(self, component: Any, label: str, attempt: int,
-                    exc: BaseException) -> None:
-        policy = self._retry_policy
-        delay = policy.delay_s(attempt, salt=label)
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.event(
-                "resil.retry",
-                kind="resil",
-                label=label,
-                attempt=attempt,
-                error=f"{type(exc).__name__}: {exc}",
-                delay_s=delay,
             )
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("resil.retries").inc()
-            metrics.histogram("resil.retry.delay_s").observe(delay)
-        # Charge the backoff to the device clock where one exists (the
-        # retry costs device time, and tests stay wall-clock fast);
-        # otherwise really wait.
-        interface = getattr(component.instance.impl, "interface", None)
-        clock = getattr(interface, "clock", None)
-        if clock is not None:
-            clock.advance(delay, "resil.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
+        return measure(
+            nullcontext(component),
+            lambda c: getattr(c, method)(*args),
+            label,
+            component.pattern_count,
+            span,
+        )
 
     def _run_component(
         self, component: Any, label: str, parent_id: Optional[str],
         method: str, args: Tuple[Any, ...],
     ) -> Tuple[float, ComponentTiming]:
-        policy = self._retry_policy
-        attempts = 1 if policy is None else policy.max_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._attempt_component(
-                    component, label, parent_id, method, args
-                )
-            except Exception as exc:
-                if attempt >= attempts or not (
-                    policy is not None and policy.is_transient(exc)
-                ):
-                    raise
-                self._note_retry(component, label, attempt, exc)
-        raise AssertionError("unreachable: bounded retry loop fell through")
+        return call_with_retries(
+            self._attempt_component, component, label, parent_id, method,
+            args, policy=self._retry_policy, salt=label, device=component,
+            tracer=self._tracer, metrics=self._metrics,
+        )
 
     def _record_component_failure(self, label: str, component: Any,
                                   exc: BaseException) -> None:
@@ -338,38 +250,6 @@ class ConcurrentExecutor:
         except Exception:
             backend = "unknown"
         _record_failure(f"executor.component[{label}]@{backend}", exc)
-
-    def _submit_round(self, method: str, args: Tuple[Any, ...],
-                      parent_id: Optional[str]) -> List[_Outcome]:
-        """Run one concurrent round; every future is always collected.
-
-        Returns ``(label, component, value, timing, exc)`` per
-        component — exceptions are captured, not raised, so no worker
-        is abandoned mid-flight and the caller sees the full outcome of
-        the round (needed both for failover and for wasted-work
-        accounting).
-        """
-        submitted = [
-            (
-                label,
-                component,
-                self._worker_for(label).submit(
-                    self._run_component, component, label, parent_id,
-                    method, args,
-                ),
-            )
-            for component, label in zip(
-                self.likelihood.components, self.labels
-            )
-        ]
-        outcomes: List[_Outcome] = []
-        for label, component, future in submitted:
-            try:
-                value, timing = future.result()
-                outcomes.append((label, component, value, timing, None))
-            except Exception as exc:
-                outcomes.append((label, component, None, None, exc))
-        return outcomes
 
     def _failover(self, label: str, exc: BaseException,
                   wasted_s: float) -> None:
@@ -391,17 +271,13 @@ class ConcurrentExecutor:
         # The lost device's worker is released immediately — failover
         # must never leak threads.
         self._pool.retire(label, wait=True)
-        self._quarantined[label] = QuarantineRecord(
-            label=label,
-            error=f"{type(exc).__name__}: {exc}",
-            at_evaluation=self._evaluations,
-            last_probe=self._evaluations,
-        )
+        record = self._group.quarantine(label, exc, self._evaluations)
+        assert record is not None
         self._failover_events.append(
             FailoverEvent(
                 evaluation=self._evaluations,
                 label=label,
-                error=f"{type(exc).__name__}: {exc}",
+                error=record.error,
                 survivors=self.labels,
                 rebuilt=rebuilt,
                 wasted_s=wasted_s,
@@ -410,83 +286,43 @@ class ConcurrentExecutor:
         metrics = self._metrics
         if metrics is not None:
             metrics.counter("resil.failover.events").inc()
-            metrics.counter("resil.quarantines").inc()
             metrics.histogram("resil.failover.wasted_s").observe(wasted_s)
-            metrics.gauge("resil.quarantined").set(len(self._quarantined))
 
-    def _maybe_probe(self) -> None:
-        """Probe quarantined devices for recovery; re-admit on success."""
-        policy = self._retry_policy
-        if (
-            not self._quarantined
-            or policy is None
-            or policy.probe_interval <= 0
-            or not hasattr(self.likelihood, "readmit_device")
-        ):
-            return
-        metrics = self._metrics
-        for label in list(self._quarantined):
-            record = self._quarantined[label]
-            if self._evaluations - record.last_probe < policy.probe_interval:
-                continue
-            record.last_probe = self._evaluations
-            record.probes += 1
-            if metrics is not None:
-                metrics.counter("resil.probes").inc()
-            tracer = self._tracer
-            healthy = False
-            try:
-                self.likelihood.readmit_device(label)
-                index = self.labels.index(label)
-                component = self.likelihood.components[index]
-                # One direct test evaluation; its value is discarded.
-                component.log_likelihood()
-                healthy = True
-            except Exception as exc:
-                if label in self.labels:
-                    self.likelihood.drop_device(label)
-                if tracer.enabled:
-                    tracer.event(
-                        "resil.probe", kind="resil", label=label,
-                        healthy=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                continue
-            if tracer.enabled:
-                tracer.event(
-                    "resil.probe", kind="resil", label=label, healthy=True
-                )
-            if healthy:
-                del self._quarantined[label]
-                if metrics is not None:
-                    metrics.counter("resil.readmissions").inc()
-                    metrics.gauge("resil.quarantined").set(
-                        len(self._quarantined)
-                    )
+    def _probe_device(self, label: str) -> None:
+        """Readmit *label* and run one test evaluation (value discarded);
+        on failure the device goes back out and the error propagates."""
+        self.likelihood.readmit_device(label)
+        component = self.likelihood.components[self.labels.index(label)]
+        try:
+            component.log_likelihood()
+        except Exception:
+            self.likelihood.drop_device(label)
+            raise
 
     def _evaluate_resilient(self, method: str, args: Tuple[Any, ...],
                             parent_id: Optional[str]) -> float:
-        policy = self._retry_policy
         locksan.access(self._coord_state)
-        self._maybe_probe()
-        budget = 0
-        can_failover = policy is not None and policy.failover and hasattr(
-            self.likelihood, "drop_device"
+        self._group.probe(self._evaluations, self._probe_device)
+        budget = allowed_failovers(
+            self._group.policy, len(self.likelihood.components)
         )
-        if can_failover:
-            budget = policy.failover_budget(len(self.likelihood.components))
         t0 = time.perf_counter()
         for round_index in range(budget + 1):
-            outcomes = self._submit_round(method, args, parent_id)
+            members = list(zip(self.likelihood.components, self.labels))
+            outcomes = collect([
+                self._pool.submit(
+                    label, self._run_component, component, label,
+                    parent_id, method, args,
+                )
+                for component, label in members
+            ])
             failures = [
                 (label, component, exc)
-                for label, component, _, _, exc in outcomes
+                for (component, label), (_, exc) in zip(members, outcomes)
                 if exc is not None
             ]
             if not failures:
-                self._last_timings = [
-                    timing for _, _, _, timing, _ in outcomes
-                ]
+                self._last_timings = [timing for (_, timing), _ in outcomes]
                 self._evaluations += 1
                 wall = time.perf_counter() - t0
                 metrics = self._metrics
@@ -504,25 +340,19 @@ class ConcurrentExecutor:
                             f"executor.component_s.{timing.label}"
                         ).set(timing.measured_s)
                 # Sum in component order: bit-identical to the serial sum.
-                return float(
-                    sum(value for _, _, value, _, _ in outcomes)
-                )
+                return float(sum(value for (value, _), _ in outcomes))
             for label, component, exc in failures:
                 self._record_component_failure(label, component, exc)
             label, component, exc = failures[0]
-            fatal = (
-                not can_failover
-                or not isinstance(exc, DeviceError)
-                or round_index >= budget
-                or len(self.likelihood.components) <= 1
-            )
-            if fatal:
+            if not can_fail_over(
+                exc, round_index, budget, len(members) - 1
+            ):
                 raise exc
             # The survivors' completed shard evaluations from this
             # round are discarded — that is the recovery's overhead.
             wasted = sum(
-                timing.measured_s
-                for _, _, _, timing, failure in outcomes
+                result[1].measured_s
+                for result, failure in outcomes
                 if failure is None
             )
             self._failover(label, exc, wasted)
@@ -560,14 +390,15 @@ class ConcurrentExecutor:
         """Flush every component's deferred work, concurrently."""
         if self._closed:
             raise RuntimeError("executor has been shut down")
-        futures = [
-            self._worker_for(label).submit(component.flush)
+        outcomes = collect([
+            self._pool.submit(label, component.flush)
             for component, label in zip(
                 self.likelihood.components, self.labels
             )
-        ]
-        for f in futures:
-            f.result()
+        ])
+        for _, exc in outcomes:
+            if exc is not None:
+                raise exc
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -688,11 +519,8 @@ class RebalancingExecutor(ConcurrentExecutor):
 
     def _update_rates(self) -> None:
         for timing in self._last_timings:
-            rate = timing.rate
-            prev = self._rates.get(timing.label)
-            self._rates[timing.label] = (
-                rate if prev is None
-                else self.alpha * rate + (1 - self.alpha) * prev
+            self._rates[timing.label] = ewma(
+                self._rates.get(timing.label), timing.rate, self.alpha
             )
 
     def _maybe_rebalance(self) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.analysis import locksan
 
@@ -39,8 +39,12 @@ class LabelledWorkerPool:
         self._workers: Dict[str, ThreadPoolExecutor] = {}
         self._closed = False
 
-    def worker_for(self, label: str) -> ThreadPoolExecutor:
-        """The label's worker, creating it on first use."""
+    def submit(self, label: str, fn: Callable[..., Any],
+               *args: Any, **kwargs: Any) -> "Future[Any]":
+        """Queue ``fn`` on the label's worker, creating it on first use.
+
+        The one hand-off point from a scheduling layer to its workers.
+        """
         with self._lock:
             locksan.access(self._state)
             if self._closed:
@@ -52,23 +56,7 @@ class LabelledWorkerPool:
                     thread_name_prefix=f"{self._prefix}-{label}",
                 )
                 self._workers[label] = worker
-            return worker
-
-    def submit(self, label: str, fn: Callable[..., Any],
-               *args: Any, **kwargs: Any) -> "Future[Any]":
-        """Queue ``fn`` on the label's worker."""
-        return self.worker_for(label).submit(fn, *args, **kwargs)
-
-    def labels(self) -> List[str]:
-        """Labels with a live worker."""
-        with self._lock:
-            locksan.access(self._state, write=False)
-            return list(self._workers)
-
-    def __contains__(self, label: str) -> bool:
-        with self._lock:
-            locksan.access(self._state, write=False)
-            return label in self._workers
+        return worker.submit(fn, *args, **kwargs)
 
     def retire(self, label: str, wait: bool = True) -> bool:
         """Release one label's worker (e.g. on device loss).

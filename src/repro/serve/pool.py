@@ -153,11 +153,6 @@ class InstancePool:
             locksan.access(self._state, write=False)
             return dict(self._total)
 
-    def idle_count(self) -> int:
-        with self._lock:
-            locksan.access(self._state, write=False)
-            return sum(len(v) for v in self._idle.values())
-
     # -- acquisition -------------------------------------------------------
 
     def acquire(self, tenant: str, data: Any, tree: Any, model: Any,

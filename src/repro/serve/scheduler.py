@@ -99,10 +99,6 @@ class DeficitRoundRobin:
         locksan.access(self._state, write=False)
         return sum(len(t.queue) for t in self._tenants.values())
 
-    def can_enqueue(self, name: str) -> bool:
-        locksan.access(self._state, write=False)
-        return len(self.tenant(name).queue) < self.tenant(name).quota
-
     def enqueue(self, name: str, item: Any, cost: float = 1.0) -> None:
         """Append to the tenant's queue; caller checks admission first."""
         locksan.access(self._state)

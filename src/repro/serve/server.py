@@ -18,14 +18,13 @@ deferred execution plans batch their matrix and partials levels
 through instance rebinding, so tenants alternate on one warm instance
 instead of each paying a build.
 
-Device loss folds into the resilience machinery: a
-:class:`~repro.util.errors.DeviceError` from a pooled instance retires
-it, transient errors retry under the config's
-:class:`~repro.resil.RetryPolicy` with its deterministic backoff, and
-persistent losses rebuild a replacement instance (a bounded failover,
-mirroring the executor's quarantine path) so every *accepted* request
-still completes — bit-identically, because requests are always
-evaluated as a full post-order traversal.
+Device loss folds into the one failover core (:mod:`repro.resil.group`):
+transient errors retry under the config's
+:class:`~repro.resil.RetryPolicy`, and a persistent
+:class:`~repro.util.errors.DeviceError` retires the pooled instance and,
+where the policy allows failover, moves the request to a rebuilt
+replacement — bit-identically, because requests are always evaluated as
+a full post-order traversal.  The server adds only retire and reacquire.
 
 Clients can block (``ticket.result()``) or ``await`` the same ticket
 from asyncio code; the server core is thread-based so no event loop is
@@ -45,7 +44,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.analysis import locksan
 from repro.config import SessionConfig
 from repro.obs import MetricsRegistry, Tracer
-from repro.resil import RetryPolicy
+from repro.resil.group import (
+    allowed_failovers,
+    call_with_retries,
+    can_fail_over,
+)
 from repro.sched.workers import LabelledWorkerPool
 from repro.serve.pool import InstancePool, PoolKey, PooledInstance
 from repro.serve.scheduler import DeficitRoundRobin
@@ -428,28 +431,30 @@ class LikelihoodServer:
 
         Transient device errors retry on the same instance under the
         config's retry policy (deterministic backoff, charged to the
-        simulated device clock where one exists).  Persistent device
-        loss retires the pooled instance and fails over to a freshly
-        built replacement — bounded by the policy's attempt budget, so
-        a device that keeps dying eventually surfaces the error.
+        simulated device clock where one exists).  A persistent device
+        error retires the pooled instance; where the policy allows
+        failover, the request moves to a freshly built replacement.
+        Replacements never run out, so the policy's attempt count
+        stands in for the member count of its failover budget: a device
+        that keeps dying eventually surfaces the error.
         """
         policy = self.config.retry_policy
-        attempts = 1 if policy is None else max(1, policy.max_attempts)
+        budget = allowed_failovers(
+            policy, 1 if policy is None else policy.max_attempts
+        )
         current = pooled
-        for attempt in range(1, attempts + 1):
+        for round_index in range(budget + 1):
             try:
-                value = self._run_on_instance(current, request)
+                value = call_with_retries(
+                    self._run_on_instance, current, request,
+                    policy=policy, salt=current.label,
+                    device=current.likelihood,
+                    tracer=self.tracer, metrics=self.metrics,
+                )
             except DeviceError as exc:
-                if policy is None or attempt >= attempts:
-                    self._pool.retire(current)
-                    raise
-                if exc.transient and policy.is_transient(exc):
-                    self._charge_backoff(current, attempt, policy)
-                    self.metrics.counter("resil.retries").inc()
-                    continue
-                # Persistent loss: quarantine-equivalent for a pooled
-                # instance is retirement + rebuild.
                 self._pool.retire(current)
+                if not can_fail_over(exc, round_index, budget, 1):
+                    raise
                 self.metrics.counter("serve.failover.events").inc()
                 if self.tracer.enabled:
                     self.tracer.event(
@@ -481,18 +486,6 @@ class LikelihoodServer:
             with self._lock:
                 self._lock.wait(0.01)
         raise cause
-
-    def _charge_backoff(self, pooled: PooledInstance, attempt: int,
-                        policy: RetryPolicy) -> None:
-        delay = policy.delay_s(attempt, salt=pooled.label)
-        interface = getattr(
-            pooled.likelihood.instance.impl, "interface", None
-        )
-        clock = getattr(interface, "clock", None)
-        if clock is not None:
-            clock.advance(delay, "serve.retry-backoff")
-        elif delay > 0:
-            time.sleep(delay)
 
     def _run_on_instance(self, pooled: PooledInstance,
                          request: ServeRequest) -> float:

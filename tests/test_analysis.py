@@ -24,7 +24,6 @@ from repro.core.api import (
     beagle_finalize_instance,
     beagle_get_last_error_message,
     beagle_get_resource_list,
-    beagle_set_plan_verification,
     beagle_set_tip_states,
 )
 from repro.core.flags import OP_NONE, ReturnCode
@@ -292,10 +291,9 @@ class TestInstanceVerification:
             assert beagle_configure(handle, strict_plans=True) == int(
                 ReturnCode.SUCCESS
             )
-            with pytest.warns(DeprecationWarning, match="removed in 2.0"):
-                assert beagle_set_plan_verification(handle, False) == int(
-                    ReturnCode.SUCCESS
-                )
+            assert beagle_configure(handle, strict_plans=False) == int(
+                ReturnCode.SUCCESS
+            )
         finally:
             beagle_finalize_instance(handle)
         assert beagle_configure(987654, strict_plans=True) != int(
