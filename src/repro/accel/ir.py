@@ -158,10 +158,11 @@ class Barrier(Stmt):
 class InnerProduct(Stmt):
     """``dest[c,p,i] = sum_j matrices[c,i,j] * partials[c,p,j]``.
 
-    The states-reduction at the heart of every partials kernel; its
-    realisation is the per-variant performance decision (concurrent
-    states / loop over states / batched host product) and it carries the
-    FMA annotation of Table IV.
+    The states-reduction at the heart of every partials kernel.  Its
+    schedule is the per-variant performance decision (concurrent states /
+    loop over states / batched host product, priced by the perf model);
+    every lowering computes it with :func:`repro.core.compute.lift`.  It
+    carries the FMA annotation of Table IV.
     """
 
     dest: str

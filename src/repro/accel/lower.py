@@ -6,18 +6,17 @@ emits the kernel-program artefact the simulated frameworks compile with
 subclass it (:mod:`repro.accel.lower_cuda`,
 :mod:`repro.accel.lower_opencl`, :mod:`repro.accel.lower_cpu`) and differ
 only where the paper says they must: framework keywords
-(:class:`~repro.accel.kernelgen.MacroSet`), per-backend launch
-decorations, and the realisation of the states-reduction inner product.
+(:class:`~repro.accel.kernelgen.MacroSet`) and per-backend launch
+decorations.  The kernel variant shapes the IR's iteration space, the
+perf model's pricing and one header comment, never the arithmetic.
 
-**Bit-identity contract.**  The numeric realisations of every IR
-statement live here, in one place, as canonical code fragments
-(:data:`INNER_GPU`, :data:`INNER_X86`, :data:`INNER_CPU_VECTOR`, and the
-per-statement emitters).  Every lowering emits these same fragments, so
-two backends that share a variant produce numerically identical kernels,
-and the cpu-vector realisation is the same batched product the gpu
-variant issues — which is what makes cross-backend log-likelihoods
-bit-identical on double-precision fixtures (see
-``tests/test_ir_lowering.py``).
+**Bit-identity contract.**  Every emitted program imports its numerics
+from :mod:`repro.core.compute` — ``lift`` for each inner product,
+``transition`` for the matrix exponential and ``site_sum`` for the site
+reductions — the same functions the CPU backends call.  Backends
+therefore cannot differ in arithmetic, and double-precision
+log-likelihoods and gradients are bitwise equal across every backend
+except the ``cpu-serial`` oracle (see ``tests/test_ir_lowering.py``).
 
 This module also hosts :func:`fit_config_for_device` — the single
 clamp-and-backstop fitting policy that was previously copied between
@@ -113,50 +112,13 @@ def fit_config_for_device(
     )
 
 
-# ---------------------------------------------------------------------------
-# Canonical numeric realisations of the inner product, per variant.
-# These fragments ARE the bit-identity contract: every lowering that
-# emits a given variant emits exactly this text.
-# ---------------------------------------------------------------------------
-
-#: GPU: all states concurrently -- a batched GEMM, one work-item per state.
-INNER_GPU = """\
-    # GPU variant: one work-item per (pattern, state); the whole state
-    # dimension is evaluated concurrently, with matrices staged in
-    # {KW_LOCAL_MEM} memory (fused multiply-add: {FMA}).
-    return np.matmul(partials, matrices.swapaxes(-1, -2))
-"""
-
-#: x86: loop over the state space inside each work-item (section VII-B.2),
-#: trusting the runtime/compiler to manage caching (no local memory).
-INNER_X86 = """\
-    # x86 variant: each work-item loops over the state space, giving every
-    # thread of execution more work (section VII-B.2); no {KW_LOCAL_MEM}
-    # staging -- the compiler manages memory caching.
-    acc = np.zeros(partials.shape, dtype=REAL)
-    for j in range(STATE_COUNT):
-        acc += (matrices[:, np.newaxis, :, j]
-                * partials[:, :, j, np.newaxis])
-    return acc
-"""
-
-#: cpu-vector: one contiguous batched product over the whole pattern
-#: block, letting the host BLAS drive the SIMD lanes across the state
-#: dimension.  Numerically this is the same batched product as the gpu
-#: realisation (``transpose(0, 2, 1)`` is ``swapaxes(-1, -2)`` on rank-3
-#: operands), which keeps the cpu-vector backend bit-identical to the
-#: GPU backends while dispatching in x86-style pattern work-groups.
-INNER_CPU_VECTOR = """\
-    # cpu-vector variant: the full pattern block is one contiguous
-    # batched product; the host vector units consume the state dimension
-    # (fused multiply-add: {FMA}), with no {KW_LOCAL_MEM} staging.
-    return np.matmul(partials, matrices.transpose(0, 2, 1))
-"""
-
-_INNER_BY_VARIANT = {
-    "gpu": INNER_GPU,
-    "x86": INNER_X86,
-    "cpu": INNER_CPU_VECTOR,
+#: How each variant schedules the state reduction (section VII-B.2).  It
+#: is only a comment in the program: every variant computes the product
+#: with the same :func:`repro.core.compute.lift`.
+_STATE_SCHEDULE = {
+    "gpu": "one work-item per (pattern, state), {KW_LOCAL_MEM} tiles",
+    "x86": "each work-item loops over the state space",
+    "cpu": "one batched product per pattern block on host SIMD",
 }
 
 
@@ -197,8 +159,6 @@ class Lowering:
             "KW_LOCAL_MEM": self.macros.kw_local_mem,
             "KW_THREAD_FENCE": self.macros.kw_thread_fence,
             "VARIANT": self.config.variant,
-            "FMA": self.config.use_fma,
-            "STATE_COUNT": self.config.state_count,
         }
 
     def workgroup_size(self) -> int:
@@ -206,11 +166,6 @@ class Lowering:
         if self.config.variant == "gpu":
             return self.config.pattern_block_size * self.config.state_count
         return self.config.workgroup_patterns
-
-    def inner_product_body(self) -> str:
-        return _INNER_BY_VARIANT[self.config.variant].format(
-            **self.macro_map()
-        )
 
     def header_extra(self) -> List[str]:
         """Backend-specific header lines (launch decoration)."""
@@ -273,6 +228,8 @@ class Lowering:
             f"# FP_FAST_FMA        = {config.use_fma}",
             f"# PATTERN_BLOCK_SIZE = {pattern_block}",
             f"# LOCAL_MEM_BYTES    = {local_bytes}",
+            "# STATE_SCHEDULE     = "
+            + _STATE_SCHEDULE[config.variant].format(**self.macro_map()),
             f"# IR_SIGNATURE       = {program.signature()}",
         ]
         lines.extend(self.header_extra())
@@ -280,16 +237,13 @@ class Lowering:
             bar,
             "import numpy as np",
             "",
+            "from repro.core.compute import lift, site_sum, transition",
+            "",
             f"STATE_COUNT = {config.state_count}",
             f"REAL = np.{config.real_type}",
             f"USES_FMA = {config.use_fma}",
             f"PATTERN_BLOCK_SIZE = {pattern_block}",
-            "",
-            "",
-            "def _inner_product_child(partials, matrices):",
-            '    """sum_j M[c, i, j] * L[c, p, j] for every (c, p, i)."""',
         ])
-        lines.append(self.inner_product_body().rstrip("\n"))
         for kernel in program.kernels:
             lines.extend(["", ""])
             lines.extend(self._emit_kernel(kernel))
@@ -348,10 +302,7 @@ class Lowering:
                 "to the whole work-group."
             ]
         if isinstance(stmt, InnerProduct):
-            return [
-                f"    {stmt.dest} = _inner_product_child("
-                f"{stmt.partials}, {stmt.matrices})"
-            ]
+            return [f"    {stmt.dest} = lift({stmt.partials}, {stmt.matrices})"]
         if isinstance(stmt, StateGather):
             return [
                 f"    {stmt.dest} = {stmt.matrices_ext}"
@@ -363,8 +314,8 @@ class Lowering:
             return [
                 f"    expd = np.exp(np.multiply.outer("
                 f"{stmt.lengths_rates}, {stmt.eigenvalues}))",
-                f'    p = np.einsum("ij,bcj,jk->bcik", '
-                f"{stmt.eigenvectors}, expd, {stmt.inv_eigenvectors})",
+                f"    p = transition({stmt.eigenvectors}, expd, "
+                f"{stmt.inv_eigenvectors})",
                 "    p = np.clip(p.real if np.iscomplexobj(p) else p, "
                 "0.0, None)",
                 f"    {stmt.dest}[...] = p.astype(REAL)",
@@ -394,21 +345,21 @@ class Lowering:
             ]
         if isinstance(stmt, SiteReduce):
             return [
-                f'    site = np.einsum("c,cpi,i->p", {stmt.weights},',
-                f"                     ({stmt.partials_expr})"
-                f".astype(np.float64),",
-                f"                     {stmt.frequencies})",
+                f"    site = site_sum({stmt.weights},",
+                f"                    ({stmt.partials_expr})"
+                ".astype(np.float64),",
+                f"                    {stmt.frequencies})",
             ]
         if isinstance(stmt, GradientReduce):
             lines = []
             for site, lifted in (("f", stmt.lifted), ("f1", stmt.lifted1),
                                  ("f2", stmt.lifted2)):
+                pad = " " * (len(site) + 12)
                 lines.extend([
-                    f'    {site} = np.einsum("c,cpi,i->p", {stmt.weights},',
-                    f"    {' ' * len(site)}({stmt.parent} * {lifted})"
+                    f"    {site} = site_sum({stmt.weights},",
+                    f"    {pad}({stmt.parent} * {lifted})"
                     ".astype(np.float64),",
-                    f"    {' ' * len(site)}{stmt.frequencies}, "
-                    "optimize=True)",
+                    f"    {pad}{stmt.frequencies})",
                 ])
             lines.extend([
                 '    with np.errstate(divide="ignore", invalid="ignore"):',

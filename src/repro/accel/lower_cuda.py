@@ -1,10 +1,10 @@
 """CUDA lowering pass: portable kernel IR -> CUDA-flavoured kernel program.
 
-All numerics come from the shared :class:`~repro.accel.lower.Lowering`
-emitters; this pass only contributes the CUDA launch decoration
-(``__launch_bounds__``) and speaks through the CUDA macro set
-(``__global__`` qualifiers, ``CUdeviceptr`` device memory,
-pointer-arithmetic sub-buffer access).
+All numerics come from :mod:`repro.core.compute`, through the shared
+:class:`~repro.accel.lower.Lowering` emitters; this pass only
+contributes the CUDA launch decoration (``__launch_bounds__``) and
+speaks through the CUDA macro set (``__global__`` qualifiers,
+``CUdeviceptr`` device memory, pointer-arithmetic sub-buffer access).
 
 For the batched derivative kernels (``kernelEdgeDerivatives`` and the
 fused ``kernelEdgeGradientsBatch``) the edge axis of the IR's iteration

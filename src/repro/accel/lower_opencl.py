@@ -1,8 +1,9 @@
 """OpenCL lowering pass: portable kernel IR -> OpenCL-flavoured program.
 
-All numerics come from the shared :class:`~repro.accel.lower.Lowering`
-emitters; this pass only contributes the OpenCL work-group size hint
-(``reqd_work_group_size``) and speaks through the OpenCL macro set
+All numerics come from :mod:`repro.core.compute`, through the shared
+:class:`~repro.accel.lower.Lowering` emitters; this pass only
+contributes the OpenCL work-group size hint (``reqd_work_group_size``)
+and speaks through the OpenCL macro set
 (``__kernel`` qualifiers, ``__global REAL*`` device memory, sub-buffer
 access).  It covers both the ``gpu`` variant (discrete GPUs) and the
 ``x86`` variant the OpenCL interface selects on CPU devices

@@ -5,8 +5,10 @@ the partial-likelihoods recursion (paper eq. 1), transition-matrix
 construction from an eigendecomposition, rescaling, and the root/edge
 likelihood integrations.  Hardware implementations differ in *how* they
 schedule this work (scalar loops, vector units, threads, simulated
-devices), never in *what* they compute — tests assert cross-implementation
-agreement against these functions.
+devices), never in *what* they compute: the CPU backends call these
+functions and the generated kernel programs import the three
+contractions (:func:`transition`, :func:`lift`, :func:`site_sum`), so
+every backend but the scalar ``cpu-serial`` reference is bitwise equal.
 
 Array layout (matching BEAGLE's internal layout):
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 #: Effective floating-point operation count per (pattern, category) entry
 #: of one partial-likelihoods operation, as a function of the state count.
@@ -31,13 +34,51 @@ def partials_flops(state_count: int) -> int:
     return state_count * (4 * state_count + 1)
 
 
+# ---------------------------------------------------------------------------
+# The three contractions, each with a fixed reduction order.  Each is a
+# stack of independent per-slice products, so a slice's value does not
+# depend on the batch it is computed in.
+# ---------------------------------------------------------------------------
+
+def transition(
+    v: np.ndarray, diag: np.ndarray, v_inv: np.ndarray
+) -> np.ndarray:
+    """``V diag(d) V^-1`` for every leading index of ``diag``.
+
+    ``v``/``v_inv`` are ``(s, s)``; ``diag`` is ``(..., s)``; the result
+    is ``(..., s, s)``.
+    """
+    return (v * diag[..., None, :]) @ v_inv
+
+
+def lift(partials: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """``out[c, p, i] = sum_j M[c, i, j] L[c, p, j]`` (the inner product).
+
+    ``partials`` is ``(c, p, s)``; ``matrices`` is ``(c, s, s)``.  One
+    batched GEMM, which vectorises across the state dimension and
+    releases the GIL inside BLAS -- the property the threaded
+    implementations rely on.
+    """
+    return partials @ matrices.swapaxes(-1, -2)
+
+
+def site_sum(
+    weights: np.ndarray, partials: np.ndarray, frequencies: np.ndarray
+) -> np.ndarray:
+    """``site[p] = sum_c w_c sum_i X[c, p, i] pi_i``: states, then categories.
+
+    ``partials`` is ``(c, p, s)``; the result is ``(p,)``.
+    """
+    return weights @ (partials @ frequencies)
+
+
 def matrices_from_eigen(
     eigenvectors: np.ndarray,
     inverse_eigenvectors: np.ndarray,
     eigenvalues: np.ndarray,
     branch_lengths: np.ndarray,
     category_rates: np.ndarray,
-    dtype: np.dtype = np.float64,
+    dtype: DTypeLike = np.float64,
 ) -> np.ndarray:
     """Transition matrices for every (branch, category) pair.
 
@@ -49,13 +90,7 @@ def matrices_from_eigen(
     category_rates = np.asarray(category_rates, dtype=np.float64)
     scaled = np.multiply.outer(branch_lengths, category_rates)  # (b, c)
     expd = np.exp(np.multiply.outer(scaled, eigenvalues))  # (b, c, s)
-    p = np.einsum(
-        "ij,bcj,jk->bcik",
-        eigenvectors,
-        expd,
-        inverse_eigenvectors,
-        optimize=True,
-    )
+    p = transition(eigenvectors, expd, inverse_eigenvectors)
     p = np.clip(p.real if np.iscomplexobj(p) else p, 0.0, None)
     return np.ascontiguousarray(p, dtype=dtype)
 
@@ -67,7 +102,7 @@ def derivative_matrices_from_eigen(
     branch_lengths: np.ndarray,
     category_rates: np.ndarray,
     order: int = 1,
-    dtype: np.dtype = np.float64,
+    dtype: DTypeLike = np.float64,
 ) -> np.ndarray:
     """``d^order P/dt^order`` for every (branch, category) pair.
 
@@ -86,13 +121,7 @@ def derivative_matrices_from_eigen(
     exponent = np.multiply.outer(scaled, eigenvalues)  # (b, c, s)
     rate_eig = np.multiply.outer(category_rates, eigenvalues)  # (c, s)
     diag = (rate_eig**order)[np.newaxis] * np.exp(exponent)
-    d = np.einsum(
-        "ij,bcj,jk->bcik",
-        eigenvectors,
-        diag,
-        inverse_eigenvectors,
-        optimize=True,
-    )
+    d = transition(eigenvectors, diag, inverse_eigenvectors)
     d = d.real if np.iscomplexobj(d) else d
     return np.ascontiguousarray(d, dtype=dtype)
 
@@ -123,12 +152,10 @@ def update_partials_pp(
 
     ``out[c, p, i] = (sum_j M1[c,i,j] L1[c,p,j]) * (sum_j M2[c,i,j] L2[c,p,j])``
 
-    Implemented as two batched GEMMs, which both vectorises across the
-    state dimension and releases the GIL inside BLAS — the property the
-    threaded implementations rely on.
+    Two :func:`lift` products.
     """
-    a = np.matmul(partials1, matrices1.swapaxes(-1, -2))
-    b = np.matmul(partials2, matrices2.swapaxes(-1, -2))
+    a = lift(partials1, matrices1)
+    b = lift(partials2, matrices2)
     if out is None:
         return a * b
     np.multiply(a, b, out=out)
@@ -149,7 +176,7 @@ def update_partials_sp(
     the all-ones column.
     """
     a = matrices1_ext[..., states1].swapaxes(-1, -2)  # (c, p, s)
-    b = np.matmul(partials2, matrices2.swapaxes(-1, -2))
+    b = lift(partials2, matrices2)
     if out is None:
         return a * b
     np.multiply(a, b, out=out)
@@ -212,10 +239,7 @@ def root_log_likelihood(
 
     Returns ``(log_likelihood, per_pattern_log_likelihoods)``.
     """
-    site_lik = np.einsum(
-        "c,cpi,i->p", category_weights, root_partials, state_frequencies,
-        optimize=True,
-    )
+    site_lik = site_sum(category_weights, root_partials, state_frequencies)
     with np.errstate(divide="ignore"):
         log_site = np.log(site_lik)
     if cumulative_scale_log is not None:
@@ -241,13 +265,10 @@ def edge_log_likelihood(
     rooted anywhere along that edge (the "pulley principle"), which the
     property-based tests exploit.
     """
-    lifted = np.matmul(child_partials, edge_matrices.swapaxes(-1, -2))
-    site_lik = np.einsum(
-        "c,cpi,i->p",
+    site_lik = site_sum(
         category_weights,
-        parent_partials * lifted,
+        parent_partials * lift(child_partials, edge_matrices),
         state_frequencies,
-        optimize=True,
     )
     with np.errstate(divide="ignore"):
         log_site = np.log(site_lik)
@@ -275,13 +296,10 @@ def edge_derivatives(
     """
 
     def site_values(mats: np.ndarray) -> np.ndarray:
-        lifted = np.matmul(child_partials, mats.swapaxes(-1, -2))
-        return np.einsum(
-            "c,cpi,i->p",
+        return site_sum(
             category_weights,
-            parent_partials * lifted,
+            parent_partials * lift(child_partials, mats),
             state_frequencies,
-            optimize=True,
         )
 
     f = site_values(edge_matrices)

@@ -279,13 +279,21 @@ class TestKernelGeneration:
             KernelConfig(4, precision="double"), CUDA_MACROS)
         assert "float32" in sp and "float64" in dp
 
-    def test_variants_have_different_inner_products(self):
-        gpu = generate_kernel_source(
-            KernelConfig(4, variant="gpu"), OPENCL_MACROS)
-        x86 = generate_kernel_source(
-            KernelConfig(4, variant="x86"), OPENCL_MACROS)
-        assert "np.matmul" in gpu and "np.matmul" not in x86
-        assert "loops over the state space" in x86
+    @pytest.mark.parametrize("states", [4, 20, 61])
+    def test_variants_compute_identical_partials(self, states):
+        """The x86 variant differs in schedule and pricing, not arithmetic."""
+        rng = np.random.default_rng(states)
+        l1, l2 = rng.random((2, 4, 50, states))
+        m1, m2 = rng.random((2, 4, states, states))
+        outs = []
+        for variant in ("gpu", "x86"):
+            kernels = compile_kernel_program(generate_kernel_source(
+                KernelConfig(states, variant=variant), OPENCL_MACROS))
+            out = np.empty_like(l1)
+            kernels["kernelPartialsPartialsNoScale"](
+                out, l1, m1, l2, m2, None)
+            outs.append(out)
+        assert np.array_equal(outs[0], outs[1])
 
     def test_compiled_kernels_compute_correctly(self):
         """The generated artefact must compute the same as the reference."""

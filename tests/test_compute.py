@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from repro.core import compute
-from repro.model import HKY85, JC69
+from repro.model import GY94, HKY85, JC69, Poisson
 
 
 def _random_partials(rng, cats=2, patterns=7, states=4):
@@ -116,6 +116,41 @@ class TestMatricesFromEigen:
         ext = compute.extend_matrices_for_gaps(m)
         assert ext.shape == (1, 2, 3)
         assert np.all(ext[..., -1] == 1.0)
+
+
+@pytest.mark.parametrize(
+    "model", [HKY85(2.0), Poisson(), GY94(2.0, 0.3)],
+    ids=["4-states", "20-states", "61-states"],
+)
+class TestBatchIndependence:
+    """A branch's matrices must not depend on the batch it is computed in."""
+
+    @staticmethod
+    def _batch_and_single(model, fn):
+        e = model.eigen
+        rng = np.random.default_rng(e.n_states)
+        lengths = rng.random(40) * 0.5
+        rates = np.array([0.1, 0.5, 1.2, 2.2])
+        args = (e.eigenvectors, e.inverse_eigenvectors, e.eigenvalues)
+        batch = fn(*args, lengths, rates)
+        single = np.concatenate(
+            [fn(*args, lengths[b:b + 1], rates) for b in range(40)]
+        )
+        return batch, single
+
+    def test_matrices_batch_equals_per_branch(self, model):
+        batch, single = self._batch_and_single(
+            model, compute.matrices_from_eigen
+        )
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_matrices_batch_equals_per_branch(self, model, order):
+        batch, single = self._batch_and_single(
+            model,
+            lambda *a: compute.derivative_matrices_from_eigen(*a, order),
+        )
+        assert np.array_equal(batch, single)
 
 
 class TestRescaling:

@@ -7,9 +7,10 @@ its contracts:
 * the program IR is structurally valid and content-addressed;
 * every lowering emits a compilable kernel program carrying its
   framework's keywords and launch decoration;
-* all four backend paths — CUDA-gpu, OpenCL-gpu, OpenCL-x86, and the
-  new cpu-vector lowering — produce *bit-identical* double-precision
-  log-likelihoods on a shared fixture;
+* every backend that runs the shared contractions of
+  :mod:`repro.core.compute` (all but the ``cpu-serial`` oracle) produces
+  *bitwise equal* double-precision log-likelihoods over a sweep of
+  seeds and state counts;
 * :func:`repro.accel.lower.fit_config_for_device` is the one shared
   clamp policy (the former cuda/opencl duplicate).
 """
@@ -49,7 +50,8 @@ from repro.accel.lower import (
 from repro.accel.lower_cpu import CPUVectorLowering
 from repro.accel.lower_cuda import CudaLowering
 from repro.accel.lower_opencl import OpenCLLowering
-from repro.model import HKY85, SiteModel
+from repro.config import BACKEND_FLAGS
+from repro.model import GY94, HKY85, Poisson, SiteModel
 from repro.seq import synthetic_pattern_set
 from repro.session import Session
 from repro.tree import yule_tree
@@ -241,29 +243,64 @@ class TestFitConfigForDevice:
             assert not fitted.use_local_memory
 
 
-class TestCrossBackendParity:
-    #: The four lowering paths the refactor must keep bit-identical.
-    BACKENDS = ("cuda", "opencl-gpu", "opencl-x86", "cpu-vector")
+#: How each backend's double-precision log-likelihood must match ``cuda``
+#: in the parity sweep: ``0.0`` means bitwise equal.  Every backend but
+#: the independent ``cpu-serial`` oracle runs the shared contractions of
+#: :mod:`repro.core.compute`; the oracle sums in its own loop order.
+PARITY_RTOL = {
+    "cpu-sse": 0.0,
+    "cpp-threads": 0.0,
+    "cuda": 0.0,
+    "opencl-gpu": 0.0,
+    "opencl-x86": 0.0,
+    "cpu-vector": 0.0,
+    "cpu-serial": 1e-12,
+}
 
+#: state count -> (model, unique patterns) of the parity sweep fixtures.
+PARITY_FIXTURES = {
+    4: (HKY85(kappa=2.0, frequencies=[0.3, 0.2, 0.2, 0.3]), 500),
+    20: (Poisson(), 500),
+    61: (GY94(2.0, 0.3), 150),
+}
+
+
+class TestCrossBackendParity:
     def test_all_lowerings_bit_identical_double(self):
-        tips = 12
-        tree = yule_tree(tips, rng=21)
-        model = HKY85(kappa=2.0, frequencies=[0.3, 0.2, 0.2, 0.3])
+        """Seeds 0-9 x {4, 20, 61} states x every backend, against cuda.
+
+        The whole sweep runs: which seed exposes an arithmetic
+        difference depends on the host's BLAS, so no single fixture
+        stands in for it.
+        """
+        assert set(PARITY_RTOL) == set(BACKEND_FLAGS)
         sites = SiteModel.gamma(0.5, 4)
-        data = synthetic_pattern_set(tips, 500, 4, rng=22)
-        values = {}
-        for backend in self.BACKENDS:
-            with Session(
-                data, tree, model, sites,
-                backend=backend, precision="double",
-            ) as s:
-                values[backend] = s.log_likelihood()
-        reference = values["cuda"]
-        assert np.isfinite(reference)
-        for backend, value in values.items():
-            assert value == reference, (
-                f"{backend} diverges: {value!r} != {reference!r}"
-            )
+        mismatches = []
+        for states, (model, patterns) in PARITY_FIXTURES.items():
+            for seed in range(10):
+                tree = yule_tree(12, rng=seed)
+                data = synthetic_pattern_set(
+                    12, patterns, states, rng=100 + seed
+                )
+                values = {}
+                for backend in PARITY_RTOL:
+                    with Session(
+                        data, tree, model, sites,
+                        backend=backend, precision="double",
+                    ) as s:
+                        values[backend] = s.log_likelihood()
+                reference = values["cuda"]
+                assert np.isfinite(reference)
+                for backend, value in values.items():
+                    rtol = PARITY_RTOL[backend]
+                    same = (value == reference if rtol == 0.0 else
+                            np.isclose(value, reference, rtol=rtol, atol=0))
+                    if not same:
+                        mismatches.append(
+                            f"{backend} ({states} states, seed {seed}): "
+                            f"{value!r} != {reference!r}"
+                        )
+        assert not mismatches, "\n".join(mismatches)
 
     def test_cpu_vector_backend_reports_its_name(self):
         tree = yule_tree(6, rng=3)
