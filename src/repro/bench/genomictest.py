@@ -36,7 +36,6 @@ from repro.model.nucleotide import HKY85
 from repro.model.sitemodel import SiteModel
 from repro.seq.simulate import synthetic_pattern_set
 from repro.tree.generate import balanced_tree
-from repro.tree.traversal import plan_traversal
 from repro.util.rng import spawn_rng
 
 BACKEND_FLAGS = {
@@ -132,7 +131,7 @@ def run_genomictest(
             )
         # Warm-up evaluation (also yields the correctness-check value).
         log_like = tl.log_likelihood()
-        plan = plan_traversal(tree)
+        plan = tl.traversal_plan()
         breakdown = None
         if mode == "model":
             impl.reset_simulated_time()

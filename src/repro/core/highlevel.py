@@ -2,15 +2,32 @@
 
 BEAGLE itself has no tree type; this helper is the canonical *client*
 gluing the tree substrate to an instance — the pattern every example and
-the MCMC application follow.  It owns the buffer-index conventions
-(partials buffer *i* = node *i*, matrix *i* = branch above node *i*) and
+the MCMC application follow.  It owns the buffer-index conventions and
 supports incremental re-evaluation after branch edits, which is what
 makes MCMC proposals cheap.
+
+Buffer layout (``n`` nodes, ``k`` of them internal):
+
+* matrix *i* is the branch above node *i*; ``n`` and ``n + 1`` hold
+  derivative matrices, ``n + 2`` the identity used by upper partials;
+* partials buffers ``0 .. n-1`` are where the nodes start (tips are
+  compact state buffers and never move), followed by the ``2n + 1``
+  upper-partials buffers when enabled, followed by ``k`` *spare* slots
+  when ``spare_slots`` is set;
+* which slot holds an internal node's lower partials is a client-side
+  map (:meth:`TreeLikelihood.partials_index`), not a convention.  An
+  incremental update writes every node on the path to the root into a
+  fresh slot and remembers the old one, so :meth:`TreeLikelihood.reject`
+  undoes a proposal by flipping the map back instead of recomputing
+  (BEAGLE 4.1's client-managed buffer indices);
+* scale buffer ``k`` is the cumulative one; every other partials slot
+  an internal node can occupy owns one scale buffer, which moves with
+  it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -21,7 +38,11 @@ from repro.model.ratematrix import SubstitutionModel
 from repro.model.sitemodel import SiteModel
 from repro.seq.patterns import PatternSet
 from repro.seq.simulate import SyntheticPatterns
-from repro.tree.traversal import plan_partial_update, plan_traversal
+from repro.tree.traversal import (
+    TraversalPlan,
+    plan_partial_update,
+    plan_traversal,
+)
 from repro.tree.tree import Tree
 
 
@@ -61,6 +82,13 @@ class TreeLikelihood:
         likelihood call.  Results are bit-identical to eager mode, but
         backends may batch or reorder independent work within a level
         (see :mod:`repro.core.plan`).
+    spare_slots:
+        Reserve one spare partials slot per internal node, so that
+        :meth:`reject` restores an incremental update by flipping slots
+        instead of re-evaluating — what an MCMC client wants.  Costs up
+        to ~1.5x the partials memory, of which only the slots in use
+        are touched.  Without spares, updates write in place and
+        :meth:`reject` re-evaluates the whole tree.
     instance_kwargs:
         Passed through to instance creation (``preference_flags``,
         ``resource_ids``, ``precision``, ...).
@@ -76,6 +104,7 @@ class TreeLikelihood:
         use_scaling=False,
         enable_upper_partials: bool = False,
         deferred: bool = False,
+        spare_slots: bool = False,
         **instance_kwargs,
     ) -> None:
         site_model = site_model or SiteModel.uniform()
@@ -117,13 +146,17 @@ class TreeLikelihood:
         # Two spare matrix slots hold first/second derivative matrices
         # for Newton-style branch optimisation (see root_edge_derivatives);
         # upper-partials mode adds 2n+1 partials buffers and an identity
-        # matrix slot (see repro.core.upper).
+        # matrix slot (see repro.core.upper).  Spare partials slots, one
+        # per internal node, come last (see the module docstring).
         extra_partials = (2 * n_nodes + 1) if enable_upper_partials else 0
         extra_matrices = 3 if enable_upper_partials else 2
+        spare_base = n_nodes + extra_partials
+        n_spares = n_internal if spare_slots else 0
         config = InstanceConfig(
             tip_count=n_tips,
             partials_buffer_count=(
                 n_nodes - (n_tips if use_tip_states else 0) + extra_partials
+                + n_spares
             ),
             compact_buffer_count=n_tips if use_tip_states else 0,
             state_count=state_count,
@@ -131,7 +164,9 @@ class TreeLikelihood:
             eigen_buffer_count=1,
             matrix_buffer_count=n_nodes + extra_matrices,
             category_count=site_model.n_categories,
-            scale_buffer_count=(n_internal + 1) if use_scaling else 0,
+            scale_buffer_count=(
+                (n_internal + 1 + n_spares) if use_scaling else 0
+            ),
         )
         self.derivative_matrix_indices = (n_nodes, n_nodes + 1)
         self.enable_upper_partials = enable_upper_partials
@@ -139,6 +174,24 @@ class TreeLikelihood:
         self.data = data
         self.instance = BeagleInstance(config, deferred=deferred, **instance_kwargs)
         self._upper = None
+
+        # The slot map: node -> partials slot, and node -> scale buffer
+        # of that slot (tips' entries are never used for scaling).
+        self._n_tips = n_tips
+        self._n_internal = n_internal
+        self._spare_base = spare_base
+        self._slots: List[int] = list(range(n_nodes))
+        self._scales: List[int] = [i - n_tips for i in range(n_nodes)]
+        # Free spare slots, used LIFO so the same few stay warm.
+        self._free: List[int] = list(
+            range(spare_base + n_spares - 1, spare_base - 1, -1)
+        )
+        # Since the last accept()/reject(): node -> slot it left, the
+        # branches whose matrices were rewritten, and whether partials
+        # were overwritten in place (a full evaluation, or no spares).
+        self._previous: Dict[int, int] = {}
+        self._edited: Set[int] = set()
+        self._written_in_place = False
 
         self.load_tip_data(data)
         self.instance.set_category_rates(site_model.rates)
@@ -231,6 +284,7 @@ class TreeLikelihood:
             )
         self.load_tip_data(data)
         self._matrices_current = False
+        self._forget()
 
     # -- observability -------------------------------------------------------
 
@@ -267,60 +321,136 @@ class TreeLikelihood:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _refresh_matrices(self) -> None:
-        plan = plan_traversal(self.tree)
-        self.instance.update_transition_matrices(
-            0, list(plan.branch_node_indices), plan.branch_lengths
+    def partials_index(self, node_index: int) -> int:
+        """The partials buffer that currently holds a node's lower partials."""
+        return self._slots[node_index]
+
+    def traversal_plan(self) -> TraversalPlan:
+        """The full post-order schedule over the current slot map."""
+        return plan_traversal(
+            self.tree, use_scaling=self.use_scaling,
+            buffers=self._slots, scales=self._scales,
         )
-        self._matrices_current = True
+
+    def _accumulate_scales(self) -> None:
+        """Sum the scale buffers of the current slots, in node order."""
+        self.instance.reset_scale_factors(self._cumulative_scale)
+        self.instance.accumulate_scale_factors(
+            self._scales[self._n_tips:], self._cumulative_scale
+        )
+
+    def _flip(self, node_index: int) -> None:
+        """Give a node about to be recomputed a fresh slot, once per
+        accept/reject cycle (a node in the map already has one, and a
+        node of a tree likelihood without spares is written in place)."""
+        if node_index in self._previous:
+            return
+        if not self._free:
+            self._written_in_place = True
+            return
+        self._previous[node_index] = self._slots[node_index]
+        self._move_to(node_index, self._free.pop())
+
+    def _move_to(self, node_index: int, slot: int) -> None:
+        self._slots[node_index] = slot
+        self._scales[node_index] = (
+            slot - self._n_tips if slot < self._spare_base
+            else self._n_internal + 1 + slot - self._spare_base
+        )
 
     def log_likelihood(self) -> float:
-        """Full post-order re-evaluation of the tree."""
-        plan = plan_traversal(self.tree, use_scaling=self.use_scaling)
+        """Full post-order re-evaluation of the tree.
+
+        Writes every node's partials in place, into its current slot.
+        """
+        plan = self.traversal_plan()
         self.instance.update_transition_matrices(
             0, list(plan.branch_node_indices), plan.branch_lengths
         )
         self._matrices_current = True
+        self._written_in_place = True
         self.instance.update_partials(plan.operations)
         if self.use_scaling:
-            self.instance.reset_scale_factors(self._cumulative_scale)
-            self.instance.accumulate_scale_factors(
-                list(range(self._cumulative_scale)), self._cumulative_scale
-            )
+            self._accumulate_scales()
         return self.instance.calculate_root_log_likelihoods(
             plan.root_index, 0, 0, self._cumulative_scale
         )
 
     def update_branch_lengths(self, node_indices: Sequence[int]) -> float:
-        """Incremental re-evaluation after editing some branch lengths.
+        """Incremental re-evaluation after editing some branches.
 
-        Only the matrices of the edited branches and the partials of
-        their ancestors are recomputed.  With scaling enabled the
-        cumulative buffer must cover every node, so the full accumulation
-        is redone (factors of untouched nodes are unchanged).
+        ``node_indices`` are the nodes whose branch above changed, in
+        length or in attachment (for NNI, the two swapped subtrees).
+        Only their matrices and the partials of their ancestors are
+        recomputed.  With ``spare_slots``, each ancestor is written into
+        a fresh spare slot the first time it is touched after the last
+        :meth:`accept` or :meth:`reject`, so :meth:`reject` can flip
+        back to the old partials.  With scaling enabled the cumulative buffer is
+        re-accumulated over every node (factors of untouched nodes are
+        unchanged).
         """
         if not self._matrices_current:
             return self.log_likelihood()
         plan = plan_partial_update(
-            self.tree, node_indices, use_scaling=self.use_scaling
+            self.tree, node_indices, use_scaling=self.use_scaling,
+            buffers=self._slots, scales=self._scales,
+            before_write=self._flip,
         )
         if plan.branch_node_indices.size:
+            self._edited.update(plan.branch_node_indices.tolist())
             self.instance.update_transition_matrices(
                 0, list(plan.branch_node_indices), plan.branch_lengths
             )
         if plan.operations:
             self.instance.update_partials(plan.operations)
         if self.use_scaling:
-            self.instance.reset_scale_factors(self._cumulative_scale)
-            self.instance.accumulate_scale_factors(
-                list(range(self._cumulative_scale)), self._cumulative_scale
-            )
+            self._accumulate_scales()
         return self.instance.calculate_root_log_likelihoods(
             plan.root_index, 0, 0, self._cumulative_scale
         )
 
+    def _forget(self) -> None:
+        self._free.extend(self._previous.values())
+        self._previous.clear()
+        self._edited.clear()
+        self._written_in_place = False
+
+    def accept(self) -> None:
+        """Keep the current state: release the slots updates moved away from."""
+        self._forget()
+
+    def reject(self) -> None:
+        """Return to the state of the last :meth:`accept`/:meth:`reject`.
+
+        Call after restoring the tree itself (branch lengths, topology,
+        model).  Every slot that :meth:`update_branch_lengths` moved is
+        flipped back and the edited branches' matrices are re-issued
+        (cache hits), so nothing is recomputed and the restored partials
+        are the very buffers computed before.  If a full
+        :meth:`log_likelihood` ran since then, or an update wrote in
+        place (no ``spare_slots``), the old values are gone and this
+        falls back to a full evaluation.
+        """
+        if self._written_in_place or not self._matrices_current:
+            self._forget()
+            self.log_likelihood()
+            self._written_in_place = False
+            return
+        for node, slot in self._previous.items():
+            self._previous[node] = self._slots[node]  # freed below
+            self._move_to(node, slot)
+        if self._edited:
+            lengths = self.tree.branch_lengths()
+            edited = sorted(self._edited)
+            self.instance.update_transition_matrices(
+                0, edited, [lengths[i] for i in edited]
+            )
+        if self.use_scaling and self._previous:
+            self._accumulate_scales()
+        self._forget()
+
     def invalidate(self) -> None:
-        """Mark cached matrices stale (call after topology edits)."""
+        """Mark cached matrices stale: the next evaluation is a full one."""
         self._matrices_current = False
 
     def site_log_likelihoods(self) -> np.ndarray:
@@ -373,7 +503,9 @@ class TreeLikelihood:
                 second_derivative_indices=[d2_idx],
             )
             return self.instance.calculate_edge_derivatives(
-                right.index, left.index, scratch, d1_idx, d2_idx,
+                self.partials_index(right.index),
+                self.partials_index(left.index),
+                scratch, d1_idx, d2_idx,
                 cumulative_scale_index=self._cumulative_scale,
             )
         finally:

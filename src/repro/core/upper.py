@@ -56,7 +56,10 @@ class UpperPartials:
     ========================  =========================
 
     plus one identity transition matrix at ``matrix index n + 2`` (after
-    the two derivative scratch slots).
+    the two derivative scratch slots).  Lower partials ``L(v)`` are read
+    from whichever slot the tree likelihood's map names
+    (:meth:`~repro.core.highlevel.TreeLikelihood.partials_index`), since
+    incremental updates move them between slots.
     """
 
     def __init__(self, tree_likelihood) -> None:
@@ -116,6 +119,7 @@ class UpperPartials:
         non-root node, issued as one dependency-ordered operation list.
         """
         ops: List[Operation] = []
+        lower = self.tl.partials_index
         root = self.tree.root
         # W(root) = ones: alias by copying via identity op into W slot.
         ops.append(
@@ -142,7 +146,7 @@ class UpperPartials:
                     destination=self.tmp_index(node.index),
                     child1=self.w_index(parent.index),
                     child1_matrix=self._identity_matrix,
-                    child2=sibling.index,
+                    child2=lower(sibling.index),
                     child2_matrix=sibling.index,
                 )
             )
@@ -183,7 +187,7 @@ class UpperPartials:
             raise ValueError("the root has no branch")
         return self.tl.instance.calculate_edge_log_likelihoods(
             self.tmp_index(node_index),
-            node_index,
+            self.tl.partials_index(node_index),
             node_index,
         )
 
@@ -193,7 +197,7 @@ class UpperPartials:
         self._require_current()
         return self.tl.instance.calculate_edge_log_likelihoods(
             self.w_index(node_index),
-            node_index,
+            self.tl.partials_index(node_index),
             self._identity_matrix,
         )
 
@@ -222,7 +226,7 @@ class UpperPartials:
             )
             return self.tl.instance.calculate_edge_derivatives(
                 self.tmp_index(node_index),
-                node_index,
+                self.tl.partials_index(node_index),
                 node_index,
                 d1_idx,
                 d2_idx,
@@ -264,7 +268,7 @@ class UpperPartials:
             if node.is_root:
                 raise ValueError("the root has no branch")
             parents.append(self.tmp_index(idx))
-            children.append(idx)
+            children.append(self.tl.partials_index(idx))
             lengths.append(node.branch_length)
         return self.tl.instance.calculate_branch_gradients(
             0, parents, children, lengths

@@ -21,10 +21,16 @@ ModelFactory = Callable[[Dict[str, float]], Tuple[SubstitutionModel, SiteModel]]
 
 
 class LikelihoodBackend(Protocol):
-    """What a chain needs from its likelihood engine."""
+    """What a chain needs from its likelihood engine.
+
+    Every proposal is evaluated by :meth:`propose_eval` and then settled
+    by exactly one of :meth:`accept` or :meth:`restore` (the latter after
+    the proposal's ``undo`` has put the state back).
+    """
 
     def initial(self, state: PhyloState) -> float: ...
     def propose_eval(self, state: PhyloState, pr: ProposalResult) -> float: ...
+    def accept(self, state: PhyloState, pr: ProposalResult) -> None: ...
     def restore(self, state: PhyloState, pr: ProposalResult) -> None: ...
     def finalize(self) -> None: ...
 
@@ -32,9 +38,12 @@ class LikelihoodBackend(Protocol):
 class BeagleBackend:
     """Chain likelihoods through a BEAGLE instance.
 
-    Branch-length moves use incremental re-evaluation (only ancestors of
-    the edited branch recompute); topology and parameter moves trigger a
-    full traversal, with parameter moves also re-installing the model.
+    Branch-length and NNI moves use incremental re-evaluation (only the
+    ancestors of the edited or re-attached branches recompute), and a
+    rejection flips the tree likelihood's partials slots back
+    (:meth:`~repro.core.highlevel.TreeLikelihood.reject`) instead of
+    recomputing.  Parameter moves re-install the model and run a full
+    traversal, and so does their rejection.
     """
 
     def __init__(
@@ -46,6 +55,7 @@ class BeagleBackend:
     ) -> None:
         self.model_factory = model_factory
         model, site_model = model_factory(state.parameters)
+        instance_kwargs.setdefault("spare_slots", True)
         self.tl = TreeLikelihood(
             state.tree, data, model, site_model, **instance_kwargs
         )
@@ -61,7 +71,9 @@ class BeagleBackend:
         self.tl.instance.set_category_weights(0, site_model.weights)
 
     def initial(self, state: PhyloState) -> float:
-        return self.tl.log_likelihood()
+        value = self.tl.log_likelihood()
+        self.tl.accept()
+        return value
 
     def branch_gradients(self, node_indices) -> np.ndarray:
         """Batched ``(logL, d1, d2)`` rows for the branches above
@@ -80,22 +92,17 @@ class BeagleBackend:
         if pr.parameters_changed:
             self._refresh_model(state)
             return self.tl.log_likelihood()
-        if pr.topology_changed:
-            self.tl.invalidate()
-            return self.tl.log_likelihood()
         if pr.dirty_nodes:
             return self.tl.update_branch_lengths(pr.dirty_nodes)
         return self.tl.log_likelihood()
 
+    def accept(self, state: PhyloState, pr: ProposalResult) -> None:
+        self.tl.accept()
+
     def restore(self, state: PhyloState, pr: ProposalResult) -> None:
         if pr.parameters_changed:
             self._refresh_model(state)
-            self.tl.log_likelihood()
-        elif pr.topology_changed:
-            self.tl.invalidate()
-            self.tl.log_likelihood()
-        elif pr.dirty_nodes:
-            self.tl.update_branch_lengths(pr.dirty_nodes)
+        self.tl.reject()
 
     def finalize(self) -> None:
         self.tl.finalize()
@@ -116,12 +123,15 @@ class PartitionedBackend:
                  **shared_instance_kwargs) -> None:
         from repro.partition.multi import PartitionedLikelihood
 
+        shared_instance_kwargs.setdefault("spare_slots", True)
         self.pl = PartitionedLikelihood(
             state.tree, alignment, partitions, **shared_instance_kwargs
         )
 
     def initial(self, state: PhyloState) -> float:
-        return self.pl.log_likelihood()
+        value = self.pl.log_likelihood()
+        self.pl.accept()
+        return value
 
     def propose_eval(self, state: PhyloState, pr: ProposalResult) -> float:
         if pr.parameters_changed:
@@ -129,21 +139,15 @@ class PartitionedBackend:
                 "PartitionedBackend runs with fixed partition models; "
                 "remove parameter proposals from the mix"
             )
-        if pr.topology_changed:
-            for component in self.pl.components:
-                component.invalidate()
-            return self.pl.log_likelihood()
         if pr.dirty_nodes:
             return self.pl.update_branch_lengths(pr.dirty_nodes)
         return self.pl.log_likelihood()
 
+    def accept(self, state: PhyloState, pr: ProposalResult) -> None:
+        self.pl.accept()
+
     def restore(self, state: PhyloState, pr: ProposalResult) -> None:
-        if pr.topology_changed:
-            for component in self.pl.components:
-                component.invalidate()
-            self.pl.log_likelihood()
-        elif pr.dirty_nodes:
-            self.pl.update_branch_lengths(pr.dirty_nodes)
+        self.pl.reject()
 
     def finalize(self) -> None:
         self.pl.finalize()
@@ -174,6 +178,9 @@ class NativeBackend:
             self.engine.set_model(model)
             self.engine.site_model = site_model
         return self.engine.log_likelihood()
+
+    def accept(self, state: PhyloState, pr: ProposalResult) -> None:
+        pass  # every evaluation is a full one; nothing is kept aside
 
     def restore(self, state: PhyloState, pr: ProposalResult) -> None:
         if pr.parameters_changed:
@@ -256,6 +263,7 @@ class MarkovChain:
         )
         accept = math.log(self.rng.random()) < log_ratio
         if accept:
+            self.backend.accept(self.state, pr)
             self.log_likelihood = new_ll
             self.log_prior = new_lp
         else:

@@ -213,9 +213,11 @@ class NNIMove(Proposal):
         def undo() -> None:
             swap(node, child_pos, parent, sibling_pos)
 
+        # The two swapped subtrees hang from new parents: their branches
+        # are the edited ones, so every node above them recomputes.
         return ProposalResult(
             log_hastings=0.0,
-            dirty_nodes=[node.index, parent.index],
+            dirty_nodes=[child.index, sibling.index],
             topology_changed=True,
             parameters_changed=False,
             undo=undo,

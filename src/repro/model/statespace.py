@@ -69,6 +69,15 @@ class StateSpace:
     name: str
     symbols: Tuple[str, ...]
     ambiguity: Dict[str, Tuple[int, ...]] = field(repr=False)
+    #: Token -> ``setTipStates`` code, for upper- and lower-case tokens.
+    _codes: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        codes: Dict[str, int] = {}
+        for token, states in self.ambiguity.items():
+            code = states[0] if len(states) == 1 else len(self.symbols)
+            codes[token] = codes[token.lower()] = code
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def n_states(self) -> int:
@@ -97,9 +106,12 @@ class StateSpace:
         kernels treat as "any state" (partial vector of ones), matching
         BEAGLE's convention of using the state count as the gap code.
         """
-        out = np.empty(len(sequence), dtype=np.int32)
-        for i, tok in enumerate(sequence):
-            states = self.states_for(tok)
+        code = self._codes.get
+        out = np.array([code(tok, -1) for tok in sequence], dtype=np.int32)
+        # Tokens outside the table (mixed case, unknown) take the slow
+        # path, which raises for unknown ones.
+        for i in np.flatnonzero(out < 0):
+            states = self.states_for(sequence[i])
             out[i] = states[0] if len(states) == 1 else self.n_states
         return out
 

@@ -98,6 +98,16 @@ class PartitionedLikelihood:
             sum(c.update_branch_lengths(node_indices) for c in self.components)
         )
 
+    def accept(self) -> None:
+        """Keep every partition's current state (see TreeLikelihood.accept)."""
+        for component in self.components:
+            component.accept()
+
+    def reject(self) -> None:
+        """Undo every partition's updates (see TreeLikelihood.reject)."""
+        for component in self.components:
+            component.reject()
+
     def backends(self) -> Dict[str, str]:
         """Which implementation each partition landed on."""
         return {

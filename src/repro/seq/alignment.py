@@ -89,9 +89,10 @@ class Alignment:
     def encode_states(self) -> np.ndarray:
         """Integer state codes, shape ``(n_sequences, n_sites)``.
 
-        Fully ambiguous tokens become the gap code ``n_states``; partially
-        ambiguous tokens collapse to their first compatible state (use
-        :meth:`encode_partials` when partial ambiguity must be preserved).
+        Every ambiguous token, fully or partially (``R`` = A or G), becomes
+        the gap code ``n_states``, which the kernels treat as "any state";
+        use :meth:`encode_partials` when partial ambiguity must be
+        preserved.
         """
         return np.stack(
             [self.state_space.encode_states(row) for row in self.rows]

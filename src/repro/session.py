@@ -358,11 +358,10 @@ class Session:
         from repro.analysis.kernelcheck import validate_kernel_config
         from repro.analysis.planverify import verify_plan
         from repro.core.plan import ExecutionPlan
-        from repro.tree.traversal import plan_traversal
         from repro.util.errors import PlanVerificationError
 
         tl = self.likelihood
-        traversal = plan_traversal(tl.tree, use_scaling=tl.use_scaling)
+        traversal = tl.traversal_plan()
         plan = ExecutionPlan()
         plan.record_matrix_update(
             0,

@@ -147,3 +147,40 @@ class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown state space"):
             get_state_space("rna-secondary-structure")
+
+
+def _encode_one_by_one(space, tokens):
+    """The per-token definition the table-driven encoder must match."""
+    out = []
+    for tok in tokens:
+        states = space.states_for(tok)
+        out.append(states[0] if len(states) == 1 else space.n_states)
+    return np.array(out, dtype=np.int32)
+
+
+class TestEncodeStatesTable:
+    @pytest.mark.parametrize("space", [NUCLEOTIDE, AMINO_ACID, CODON],
+                             ids=lambda s: s.name)
+    def test_matches_per_token_definition(self, space):
+        tokens = sorted(space.ambiguity)
+        # Lower-case and mixed-case spellings of every token, shuffled.
+        tokens += [t.lower() for t in tokens]
+        tokens += [t[0].lower() + t[1:] for t in tokens if len(t) > 1]
+        order = np.random.default_rng(0).permutation(len(tokens))
+        tokens = [tokens[i] for i in order]
+        codes = space.encode_states(tokens)
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes, _encode_one_by_one(space, tokens))
+
+    @pytest.mark.parametrize("space,bad", [
+        (NUCLEOTIDE, "!"), (AMINO_ACID, "O"), (CODON, "TAA"),
+    ], ids=["nucleotide", "aminoacid", "codon"])
+    def test_unknown_token_same_error(self, space, bad):
+        with pytest.raises(ValueError) as direct:
+            space.states_for(bad)
+        with pytest.raises(ValueError) as encoded:
+            space.encode_states(["A" * len(bad), bad])
+        assert str(encoded.value) == str(direct.value)
+
+    def test_empty_sequence(self):
+        assert NUCLEOTIDE.encode_states([]).shape == (0,)
